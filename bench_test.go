@@ -15,6 +15,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/scoring"
 	"repro/internal/seq"
+	"repro/internal/swar"
 	"repro/internal/topalign"
 )
 
@@ -84,22 +85,24 @@ func table2Input() []byte { return seq.SyntheticTitin(table2Len, 1).Codes }
 func BenchmarkTable2Conventional(b *testing.B) {
 	s := table2Input()
 	r := len(s) / 2
+	sc := align.NewScratch()
 	b.SetBytes(int64(r) * int64(len(s)-r))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		align.Score(benchParams, s[:r], s[r:])
+		sc.Score(benchParams, s[:r], s[r:])
 	}
 }
 
 // BenchmarkTable2ILP4 times four neighbouring matrices in the
-// interleaved ILP kernel (this reproduction's production group kernel).
+// interleaved ILP kernel (the scalar tier's group kernel).
 func BenchmarkTable2ILP4(b *testing.B) {
 	s := table2Input()
 	r0 := len(s)/2 - 2
+	sc := multialign.NewScratch()
 	b.SetBytes(4 * int64(len(s)/2) * int64(len(s)-len(s)/2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		multialign.ScoreGroupILPStriped(benchParams, s, r0, nil, 0)
+		sc.ScoreGroupILPStriped(benchParams, s, r0, nil, 0)
 	}
 }
 
@@ -110,7 +113,7 @@ func BenchmarkTable2SWAR4(b *testing.B) {
 	b.SetBytes(4 * int64(len(s)/2) * int64(len(s)-len(s)/2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multialign.ScoreGroup(benchParams, s, r0, 4, nil); err != nil {
+		if _, _, err := swar.ScoreGroup(benchParams, s, r0, 4, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,7 +126,7 @@ func BenchmarkTable2SWAR8(b *testing.B) {
 	b.SetBytes(8 * int64(len(s)/2) * int64(len(s)-len(s)/2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := multialign.ScoreGroup(benchParams, s, r0, 8, nil); err != nil {
+		if _, _, err := swar.ScoreGroup(benchParams, s, r0, 8, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,6 +137,7 @@ func BenchmarkTable2SWAR8(b *testing.B) {
 func BenchmarkStripingScalar(b *testing.B) {
 	s := seq.SyntheticTitin(4096, 1).Codes
 	r := len(s) / 2
+	sc := align.NewScratch()
 	for _, width := range []int{0, 1 << 30} { // default stripes vs one giant stripe
 		name := "striped"
 		if width > len(s) {
@@ -142,7 +146,7 @@ func BenchmarkStripingScalar(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(r) * int64(len(s)-r))
 			for i := 0; i < b.N; i++ {
-				align.ScoreStriped(benchParams, s[:r], s[r:], nil, r, width)
+				sc.ScoreStriped(benchParams, s[:r], s[r:], nil, r, width)
 			}
 		})
 	}
@@ -152,16 +156,17 @@ func BenchmarkStripingGroup(b *testing.B) {
 	s := seq.SyntheticTitin(4096, 1).Codes
 	r0 := len(s)/2 - 2
 	cells := 4 * int64(len(s)/2) * int64(len(s)-len(s)/2)
+	sc := multialign.NewScratch()
 	b.Run("rowwise", func(b *testing.B) {
 		b.SetBytes(cells)
 		for i := 0; i < b.N; i++ {
-			multialign.ScoreGroupILP(benchParams, s, r0, nil)
+			sc.ScoreGroupILPStriped(benchParams, s, r0, nil, len(s))
 		}
 	})
 	b.Run("striped", func(b *testing.B) {
 		b.SetBytes(cells)
 		for i := 0; i < b.N; i++ {
-			multialign.ScoreGroupILPStriped(benchParams, s, r0, nil, 0)
+			sc.ScoreGroupILPStriped(benchParams, s, r0, nil, 0)
 		}
 	})
 }
@@ -197,10 +202,11 @@ func BenchmarkCellThroughput(b *testing.B) {
 	s := seq.SyntheticTitin(2048, 3).Codes
 	r := len(s) / 2
 	cells := int64(r) * int64(len(s)-r)
+	sc := align.NewScratch()
 	b.SetBytes(cells)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		align.Score(benchParams, s[:r], s[r:])
+		sc.Score(benchParams, s[:r], s[r:])
 	}
 }
 

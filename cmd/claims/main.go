@@ -1,9 +1,10 @@
 // Command claims verifies the paper's quantitative side claims in one
 // run and prints a pass/fail table: the Section 3 realignment-avoidance
 // band (90-97%), the Section 5.2 speculation-overhead bound (<= 8.4%),
-// the 3-10% per-round realignment fraction, and the equivalence of every
-// engine (group, striped, parallel strict, cluster strict, old
-// algorithm) with the sequential reference.
+// the 3-10% per-round realignment fraction, the equivalence of every
+// engine (group, parallel strict, cluster strict, old algorithm) with the
+// sequential reference, and the equivalence of the cache-aware striped
+// kernel with the row-wise one.
 //
 //	go run ./cmd/claims [-length 600] [-tops 20]
 package main
@@ -11,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/align"
 	"repro/internal/cluster"
@@ -24,8 +27,6 @@ import (
 	"repro/internal/topalign"
 )
 
-var failed bool
-
 func main() {
 	var (
 		length = flag.Int("length", 600, "titin-like sequence length")
@@ -34,18 +35,43 @@ func main() {
 	)
 	flag.Parse()
 
-	s := seq.SyntheticTitin(*length, *seed).Codes
+	ok, err := run(os.Stdout, *length, *tops, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "claims:", err)
+		os.Exit(1)
+	}
+	if !ok {
+		fmt.Println("\nsome claims FAILED")
+		os.Exit(1)
+	}
+	fmt.Println("\nall claims hold")
+}
+
+// run checks every claim on a titin-like sequence of the given length,
+// printing one line per claim to w. ok is false when a claim fails; err
+// reports a run that could not be checked.
+func run(w io.Writer, length, tops int, seed uint64) (ok bool, err error) {
+	s := seq.SyntheticTitin(length, seed).Codes
 	params := align.Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
-	fmt.Printf("claims: titin-like n=%d, %d top alignments\n\n", *length, *tops)
+	fmt.Fprintf(w, "claims: titin-like n=%d, %d top alignments\n\n", length, tops)
+	ok = true
+	check := func(name, got, want string, pass bool) {
+		mark := "ok  "
+		if !pass {
+			mark = "FAIL"
+			ok = false
+		}
+		fmt.Fprintf(w, "  [%s] %-45s %-10s (expect %s)\n", mark, name, got, want)
+	}
 
 	// sequential reference + its counters
 	seqC := &stats.Counters{}
-	ref, err := topalign.Find(s, topalign.Config{Params: params, NumTops: *tops, Counters: seqC})
+	ref, err := topalign.Find(s, topalign.Config{Params: params, NumTops: tops, Counters: seqC})
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
-	if len(ref.Tops) != *tops {
-		fatal(fmt.Errorf("only %d top alignments found; lower -tops", len(ref.Tops)))
+	if len(ref.Tops) != tops {
+		return false, fmt.Errorf("only %d top alignments found; lower -tops", len(ref.Tops))
 	}
 
 	// claim 1: Section 3, realignments avoided 90-97%
@@ -54,9 +80,9 @@ func main() {
 		"90-97% (paper)", red >= 85)
 
 	// claim 2: Section 5.2, 3-10% of matrices realign per round
-	trace, err := dessim.Record(s, topalign.Config{Params: params, NumTops: *tops})
+	trace, err := dessim.Record(s, topalign.Config{Params: params, NumTops: tops})
 	if err != nil {
-		fatal(err)
+		return false, err
 	}
 	perRound := 0.0
 	for _, rd := range trace.Rounds[1:] {
@@ -68,9 +94,9 @@ func main() {
 
 	// claim 3: Section 5.2, speculation overhead <= 8.4%
 	parC := &stats.Counters{}
-	if _, err := parallel.Find(s, topalign.Config{Params: params, NumTops: *tops, Counters: parC},
+	if _, err := parallel.Find(s, topalign.Config{Params: params, NumTops: tops, Counters: parC},
 		parallel.Config{Workers: 8, Speculative: true}); err != nil {
-		fatal(err)
+		return false, err
 	}
 	overhead := 100 * float64(parC.Snapshot().Alignments-seqC.Snapshot().Alignments) /
 		float64(seqC.Snapshot().Alignments)
@@ -89,33 +115,38 @@ func main() {
 		}
 		return true
 	}
-	group, gerr := topalign.Find(s, topalign.Config{Params: params, NumTops: *tops, GroupLanes: 4})
+	group, gerr := topalign.Find(s, topalign.Config{Params: params, NumTops: tops, GroupLanes: 4})
 	check("S4.1 group mode (4 lanes) equivalence", verdict(same(group, gerr)), "identical", same(group, gerr))
-	striped, serr := topalign.Find(s, topalign.Config{Params: params, NumTops: *tops, Striped: true})
-	check("S4.1 striped kernel equivalence", verdict(same(striped, serr)), "identical", same(striped, serr))
-	par, perr := parallel.Find(s, topalign.Config{Params: params, NumTops: *tops},
+	striped := stripedMatchesRowWise(params, s)
+	check("S4.1 striped kernel equivalence", verdict(striped), "identical", striped)
+	par, perr := parallel.Find(s, topalign.Config{Params: params, NumTops: tops},
 		parallel.Config{Workers: 4})
 	check("S4.2 shared-memory strict equivalence", verdict(same(par, perr)), "identical", same(par, perr))
-	clu, cerr := cluster.RunLocal(s, cluster.Config{Top: topalign.Config{Params: params, NumTops: *tops}},
+	clu, cerr := cluster.RunLocal(s, cluster.Config{Top: topalign.Config{Params: params, NumTops: tops}},
 		cluster.LocalSpec{Slaves: 2, ThreadsPerSlave: 2})
 	check("S4.3 cluster strict equivalence", verdict(same(clu, cerr)), "identical", same(clu, cerr))
-	old, oerr := oldalgo.Find(s, oldalgo.Config{Params: params, NumTops: *tops, Kernel: oldalgo.KernelGotoh})
+	old, oerr := oldalgo.Find(s, oldalgo.Config{Params: params, NumTops: tops, Kernel: oldalgo.KernelGotoh})
 	check("old algorithm produces identical output", verdict(same(old, oerr)), "identical", same(old, oerr))
-
-	if failed {
-		fmt.Println("\nsome claims FAILED")
-		os.Exit(1)
-	}
-	fmt.Println("\nall claims hold")
+	return ok, nil
 }
 
-func check(name, got, want string, ok bool) {
-	mark := "ok  "
-	if !ok {
-		mark = "FAIL"
-		failed = true
+// claimStripe is the stripe width of the striped-kernel check: narrow
+// enough that most splits of the claims sequence cross stripe
+// boundaries.
+const claimStripe = 64
+
+// stripedMatchesRowWise reports whether the striped scalar kernel
+// returns the row-wise kernel's bottom row for every split of s.
+func stripedMatchesRowWise(p align.Params, s []byte) bool {
+	var rowSc, stripedSc align.Scratch
+	for r := 1; r < len(s); r++ {
+		want := rowSc.Score(p, s[:r], s[r:])
+		got := stripedSc.ScoreStriped(p, s[:r], s[r:], nil, r, claimStripe)
+		if !slices.Equal(got, want) {
+			return false
+		}
 	}
-	fmt.Printf("  [%s] %-45s %-10s (expect %s)\n", mark, name, got, want)
+	return true
 }
 
 func verdict(ok bool) string {
@@ -123,9 +154,4 @@ func verdict(ok bool) string {
 		return "identical"
 	}
 	return "DIFFERS"
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "claims:", err)
-	os.Exit(1)
 }

@@ -33,7 +33,6 @@ func main() {
 		gapExt     = flag.Int("gap-ext", 0, "gap extension penalty (0 = matrix default)")
 		minScore   = flag.Int("min-score", 0, "stop when no alignment reaches this score")
 		lanes      = flag.Int("lanes", 0, "SIMD-style group lanes: 0, 4, 8, or 16")
-		striped    = flag.Bool("striped", false, "use the cache-aware striped kernel")
 		workers    = flag.Int("workers", 0, "shared-memory worker goroutines (0/1 = sequential)")
 		slaves     = flag.Int("slaves", 0, "run an in-process cluster with this many slaves")
 		threads    = flag.Int("threads", 1, "worker threads per cluster slave")
@@ -65,8 +64,7 @@ func main() {
 
 	opt := repro.Options{
 		Matrix: *matrix, NumTops: *tops,
-		GapOpen: *gapOpen, GapExt: *gapExt, MinScore: *minScore,
-		Lanes: *lanes, Striped: *striped,
+		GapOpen: *gapOpen, GapExt: *gapExt, MinScore: *minScore, Lanes: *lanes,
 		Workers: *workers, Slaves: *slaves, ThreadsPerSlave: *threads,
 		Speculative: *spec, MinPairs: *minPairs,
 		Preset: *preset, SeedK: *seedK, SeedMask: *seedMask,

@@ -32,7 +32,7 @@ func TestFigure2(t *testing.T) {
 		{0, 1, 0, 0, 0, 4, 4, 0},
 		{0, 0, 0, 2, 0, 4, 3, 6},
 	}
-	m := Matrix(paperParams, s1, s2, nil, 0)
+	m := NewScratch().Matrix(paperParams, s1, s2, nil, 0)
 	for y := 1; y <= len(s1); y++ {
 		for x := 1; x <= len(s2); x++ {
 			if m[y][x] != want[y-1][x-1] {
@@ -41,7 +41,7 @@ func TestFigure2(t *testing.T) {
 		}
 	}
 	// highest score is 6, and it is in the bottom row (col 8)
-	bottom := Score(paperParams, s1, s2)
+	bottom := NewScratch().Score(paperParams, s1, s2)
 	if got := MaxRowScore(bottom); got != 6 {
 		t.Errorf("best bottom-row score = %d, want 6", got)
 	}
@@ -53,8 +53,8 @@ func TestFigure2(t *testing.T) {
 func TestFigure2Traceback(t *testing.T) {
 	s1 := seq.DNA.MustEncode("ATTGCGA")
 	s2 := seq.DNA.MustEncode("CTTACAGA")
-	m := Matrix(paperParams, s1, s2, nil, 0)
-	a, err := Traceback(paperParams, m, s1, s2, nil, 0, 8)
+	m := NewScratch().Matrix(paperParams, s1, s2, nil, 0)
+	a, err := NewScratch().Traceback(paperParams, m, s1, s2, nil, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestFigure2Traceback(t *testing.T) {
 
 func TestScoreEmptyOperands(t *testing.T) {
 	s := seq.DNA.MustEncode("ACGT")
-	if got := Score(paperParams, nil, s); len(got) != 4 || MaxRowScore(got) != 0 {
+	if got := NewScratch().Score(paperParams, nil, s); len(got) != 4 || MaxRowScore(got) != 0 {
 		t.Errorf("empty s1: %v", got)
 	}
-	if got := Score(paperParams, s, nil); len(got) != 0 {
+	if got := NewScratch().Score(paperParams, s, nil); len(got) != 0 {
 		t.Errorf("empty s2: %v", got)
 	}
 }
@@ -93,16 +93,16 @@ var kernels = []struct {
 	f    func(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32
 }{
 	{"gotoh", func(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-		return ScoreMasked(p, s1, s2, tri, r)
+		return NewScratch().ScoreMasked(p, s1, s2, tri, r)
 	}},
 	{"striped-8", func(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-		return ScoreStriped(p, s1, s2, tri, r, 8)
+		return NewScratch().ScoreStriped(p, s1, s2, tri, r, 8)
 	}},
 	{"striped-64", func(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-		return ScoreStriped(p, s1, s2, tri, r, 64)
+		return NewScratch().ScoreStriped(p, s1, s2, tri, r, 64)
 	}},
 	{"matrix-bottom", func(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-		m := Matrix(p, s1, s2, tri, r)
+		m := NewScratch().Matrix(p, s1, s2, tri, r)
 		return m[len(s1)][1:]
 	}},
 }
@@ -154,11 +154,11 @@ func TestMaskForcesZero(t *testing.T) {
 	s := seq.DNA.MustEncode("AA") // split r=1: align A vs A
 	tri := triangle.New(2)
 	tri.Set(1, 2)
-	row := ScoreMasked(paperParams, s[:1], s[1:], tri, 1)
+	row := NewScratch().ScoreMasked(paperParams, s[:1], s[1:], tri, 1)
 	if row[0] != 0 {
 		t.Errorf("masked cell = %d, want 0", row[0])
 	}
-	unmasked := Score(paperParams, s[:1], s[1:])
+	unmasked := NewScratch().Score(paperParams, s[:1], s[1:])
 	if unmasked[0] != 2 {
 		t.Errorf("unmasked cell = %d, want 2", unmasked[0])
 	}
@@ -174,11 +174,11 @@ func TestOverrideMonotonicity(t *testing.T) {
 	tri := triangle.New(m)
 	r := 70
 	s1, s2 := full.Codes[:r], full.Codes[r:]
-	prevRow := ScoreMasked(protein, s1, s2, tri, r)
+	prevRow := NewScratch().ScoreMasked(protein, s1, s2, tri, r)
 	marks := [][2]int{{35, 100}, {36, 101}, {37, 102}, {38, 103}, {10, 75}, {60, 130}}
 	for _, p := range marks {
 		tri.Set(p[0], p[1])
-		row := ScoreMasked(protein, s1, s2, tri, r)
+		row := NewScratch().ScoreMasked(protein, s1, s2, tri, r)
 		for i := range row {
 			if row[i] > prevRow[i] {
 				t.Fatalf("after marking %v: bottom[%d] rose from %d to %d", p, i, prevRow[i], row[i])
@@ -196,12 +196,12 @@ func TestTracebackScoresConsistent(t *testing.T) {
 		full := seq.SyntheticTitin(160, seed)
 		r := 80
 		s1, s2 := full.Codes[:r], full.Codes[r:]
-		m := Matrix(protein, s1, s2, nil, r)
+		m := NewScratch().Matrix(protein, s1, s2, nil, r)
 		endX, score, _ := BestValidEnd(m[len(s1)][1:], nil)
 		if endX == 0 {
 			continue
 		}
-		a, err := Traceback(protein, m, s1, s2, nil, r, endX)
+		a, err := NewScratch().Traceback(protein, m, s1, s2, nil, r, endX)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,14 +259,14 @@ func TestBestValidEnd(t *testing.T) {
 func TestTracebackErrors(t *testing.T) {
 	s1 := seq.DNA.MustEncode("AC")
 	s2 := seq.DNA.MustEncode("GT")
-	m := Matrix(paperParams, s1, s2, nil, 0)
-	if _, err := Traceback(paperParams, m, s1, s2, nil, 0, 1); err == nil {
+	m := NewScratch().Matrix(paperParams, s1, s2, nil, 0)
+	if _, err := NewScratch().Traceback(paperParams, m, s1, s2, nil, 0, 1); err == nil {
 		t.Error("traceback from zero cell did not error")
 	}
-	if _, err := Traceback(paperParams, m, s1, s2, nil, 0, 0); err == nil {
+	if _, err := NewScratch().Traceback(paperParams, m, s1, s2, nil, 0, 0); err == nil {
 		t.Error("traceback from column 0 did not error")
 	}
-	if _, err := Traceback(paperParams, m, s1, s2, nil, 0, 3); err == nil {
+	if _, err := NewScratch().Traceback(paperParams, m, s1, s2, nil, 0, 3); err == nil {
 		t.Error("traceback beyond last column did not error")
 	}
 }
@@ -290,9 +290,9 @@ func TestStripedBoundaryWidths(t *testing.T) {
 	full := seq.SyntheticTitin(90, 2)
 	r := 45
 	s1, s2 := full.Codes[:r], full.Codes[r:]
-	want := Score(protein, s1, s2)
+	want := NewScratch().Score(protein, s1, s2)
 	for _, w := range []int{1, 2, 3, 44, 45, 46, 100, 0, -5} {
-		got := ScoreStriped(protein, s1, s2, nil, r, w)
+		got := NewScratch().ScoreStriped(protein, s1, s2, nil, r, w)
 		if !equalRows(got, want) {
 			t.Errorf("width %d disagrees with unstriped kernel", w)
 		}

@@ -19,9 +19,10 @@ func BenchmarkScore(b *testing.B) {
 	for _, n := range []int{512, 2048, 8192} {
 		s1, s2 := benchOperands(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sc := NewScratch()
 			b.SetBytes(Cells(len(s1), len(s2)))
 			for i := 0; i < b.N; i++ {
-				Score(p, s1, s2)
+				sc.Score(p, s1, s2)
 			}
 		})
 	}
@@ -36,16 +37,17 @@ func BenchmarkScoreMasked(b *testing.B) {
 	for i := 0; i < 60; i++ {
 		tri.Set(100+i, 1200+i)
 	}
+	sc := NewScratch()
 	b.Run("sparse-mask", func(b *testing.B) {
 		b.SetBytes(Cells(len(s1), len(s2)))
 		for i := 0; i < b.N; i++ {
-			ScoreMasked(p, s1, s2, tri, n/2)
+			sc.ScoreMasked(p, s1, s2, tri, n/2)
 		}
 	})
 	b.Run("nil-mask", func(b *testing.B) {
 		b.SetBytes(Cells(len(s1), len(s2)))
 		for i := 0; i < b.N; i++ {
-			ScoreMasked(p, s1, s2, nil, n/2)
+			sc.ScoreMasked(p, s1, s2, nil, n/2)
 		}
 	})
 }
@@ -56,9 +58,10 @@ func BenchmarkScoreStriped(b *testing.B) {
 	s1, s2 := benchOperands(n)
 	for _, w := range []int{256, 2048, 1 << 20} {
 		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) {
+			sc := NewScratch()
 			b.SetBytes(Cells(len(s1), len(s2)))
 			for i := 0; i < b.N; i++ {
-				ScoreStriped(p, s1, s2, nil, n/2, w)
+				sc.ScoreStriped(p, s1, s2, nil, n/2, w)
 			}
 		})
 	}
@@ -68,13 +71,14 @@ func BenchmarkMatrixAndTraceback(b *testing.B) {
 	p := Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
 	n := 1024
 	s1, s2 := benchOperands(n)
+	sc := NewScratch()
 	b.SetBytes(Cells(len(s1), len(s2)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := Matrix(p, s1, s2, nil, n/2)
+		m := sc.Matrix(p, s1, s2, nil, n/2)
 		endX, _, _ := BestValidEnd(m[len(s1)][1:], nil)
 		if endX > 0 {
-			if _, err := Traceback(p, m, s1, s2, nil, n/2, endX); err != nil {
+			if _, err := sc.Traceback(p, m, s1, s2, nil, n/2, endX); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,7 +19,7 @@ func TestScoreBoundsProperty(t *testing.T) {
 		r := rand.New(rand.NewPCG(seed, 1))
 		len1, len2 := 1+int(a)%60, 1+int(b)%60
 		s1, s2 := randCodes(r, len1), randCodes(r, len2)
-		row := Score(p, s1, s2)
+		row := NewScratch().Score(p, s1, s2)
 		bound := int32(min(len1, len2)) * maxE
 		for _, v := range row {
 			if v < 0 || v > bound {
@@ -42,8 +42,8 @@ func TestScoreSuffixExtensionProperty(t *testing.T) {
 		r := rand.New(rand.NewPCG(seed, 2))
 		len1, len2 := 1+int(a)%40, 1+int(b)%40
 		s1, s2 := randCodes(r, len1), randCodes(r, len2+1)
-		short := Score(p, s1, s2[:len2])
-		long := Score(p, s1, s2)
+		short := NewScratch().Score(p, s1, s2[:len2])
+		long := NewScratch().Score(p, s1, s2)
 		for i := range short {
 			if short[i] != long[i] {
 				return false
@@ -69,7 +69,7 @@ func TestPerfectSelfAlignment(t *testing.T) {
 		for _, c := range s {
 			want += p.Exch.Score(c, c)
 		}
-		row := Score(p, s, s)
+		row := NewScratch().Score(p, s, s)
 		// the perfect diagonal ends at the last column; a longer local
 		// path cannot beat it since every self-score is the row maximum
 		return row[n-1] >= want && MaxRowScore(row) >= want
@@ -88,8 +88,8 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 		len1, len2 := 1+int(a)%32, 1+int(b)%32
 		s1, s2 := randCodes(r, len1), randCodes(r, len2)
 		want := ScoreNaive(p, s1, s2, nil, 0)
-		got1 := Score(p, s1, s2)
-		got2 := ScoreStriped(p, s1, s2, nil, 0, 1+int(w)%10)
+		got1 := NewScratch().Score(p, s1, s2)
+		got2 := NewScratch().ScoreStriped(p, s1, s2, nil, 0, 1+int(w)%10)
 		for i := range want {
 			if got1[i] != want[i] || got2[i] != want[i] {
 				return false
@@ -111,12 +111,12 @@ func TestTracebackScoreProperty(t *testing.T) {
 		s := seq.SyntheticTitin(40+int(seed%40), seed).Codes
 		split := 10 + r.IntN(len(s)-20)
 		s1, s2 := s[:split], s[split:]
-		m := Matrix(p, s1, s2, nil, split)
+		m := NewScratch().Matrix(p, s1, s2, nil, split)
 		endX, score, _ := BestValidEnd(m[len(s1)][1:], nil)
 		if endX == 0 {
 			return true
 		}
-		al, err := Traceback(p, m, s1, s2, nil, split, endX)
+		al, err := NewScratch().Traceback(p, m, s1, s2, nil, split, endX)
 		if err != nil {
 			return false
 		}
@@ -160,9 +160,9 @@ func TestMaskedMatchesNaiveBorderProperty(t *testing.T) {
 			want := ScoreNaive(p, s1, s2, tri, split)
 			var sc Scratch
 			for name, got := range map[string][]int32{
-				"masked":  ScoreMasked(p, s1, s2, tri, split),
+				"masked":  NewScratch().ScoreMasked(p, s1, s2, tri, split),
 				"scratch": sc.ScoreMasked(p, s1, s2, tri, split),
-				"striped": ScoreStriped(p, s1, s2, tri, split, 32),
+				"striped": NewScratch().ScoreStriped(p, s1, s2, tri, split, 32),
 			} {
 				if len(got) != len(want) {
 					t.Logf("seed %d m %d split %d: %s row length %d, want %d", seed, m, split, name, len(got), len(want))

@@ -8,25 +8,21 @@ import (
 
 // Score computes the local alignment matrix of s1 (vertical) against s2
 // (horizontal) in linear memory and returns the bottom row
-// M[len(s1)][1..len(s2)]. The caller owns the returned slice.
+// M[len(s1)][1..len(s2)]. The row is arena-owned and valid until the
+// next call on sc.
 //
 // Per the bottom-row sufficiency argument of Appendix A, the top-alignment
 // search only ever needs this row: its maximum is the split's score.
-//
-// Hot paths should reuse a Scratch ((*Scratch).Score and friends): the
-// package-level functions allocate fresh buffers on every call.
-func Score(p Params, s1, s2 []byte) []int32 {
-	return new(Scratch).score(p, s1, s2, nil, 0)
+func (sc *Scratch) Score(p Params, s1, s2 []byte) []int32 {
+	return sc.score(p, s1, s2, nil, 0)
 }
 
 // ScoreMasked is Score with override masking: cells whose global residue
 // pair (y, r+x) is marked in tri are forced to zero (the paper's
 // "overriding zeros"), where r is the split position of this matrix.
-func ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-	if tri == nil {
-		return new(Scratch).score(p, s1, s2, nil, 0)
-	}
-	return new(Scratch).score(p, s1, s2, tri, r)
+// tri may be nil.
+func (sc *Scratch) ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
+	return sc.score(p, s1, s2, tri, r)
 }
 
 // score is the shared kernel. tri == nil disables masking. All working

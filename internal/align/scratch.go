@@ -1,9 +1,5 @@
 package align
 
-import (
-	"repro/internal/triangle"
-)
-
 // Scratch is a reusable buffer arena for the alignment kernels. A warm
 // Scratch makes every score-only kernel allocation-free: buffers grow
 // monotonically to the largest operand seen and are reset, never
@@ -42,18 +38,4 @@ func growI32(buf *[]int32, n int) []int32 {
 	}
 	*buf = (*buf)[:n]
 	return *buf
-}
-
-// Score is the scratch-based variant of the package-level Score: the
-// returned row is arena-owned and valid until the next call on sc.
-func (sc *Scratch) Score(p Params, s1, s2 []byte) []int32 {
-	return sc.score(p, s1, s2, nil, 0)
-}
-
-// ScoreMasked is the scratch-based variant of ScoreMasked.
-func (sc *Scratch) ScoreMasked(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-	if tri == nil {
-		return sc.score(p, s1, s2, nil, 0)
-	}
-	return sc.score(p, s1, s2, tri, r)
 }

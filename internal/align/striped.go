@@ -16,14 +16,10 @@ const DefaultStripeWidth = 2048
 // the horizontal-gap running maximum at the stripe's left edge) is
 // carried between stripes in O(len(s1)) memory.
 //
-// width <= 0 selects DefaultStripeWidth. tri may be nil.
-func ScoreStriped(p Params, s1, s2 []byte, tri *triangle.Triangle, r, width int) []int32 {
-	return new(Scratch).ScoreStriped(p, s1, s2, tri, r, width)
-}
-
-// ScoreStriped is the scratch-based variant of the package-level
-// ScoreStriped: the returned row is arena-owned and valid until the next
-// call on sc.
+// The engine runs the row-wise kernel; this one serves the Table 2
+// comparison and its equivalence checks. width <= 0 selects
+// DefaultStripeWidth. tri may be nil. The returned row is arena-owned
+// and valid until the next call on sc.
 func (sc *Scratch) ScoreStriped(p Params, s1, s2 []byte, tri *triangle.Triangle, r, width int) []int32 {
 	if width <= 0 {
 		width = DefaultStripeWidth

@@ -10,13 +10,8 @@ import (
 // override masking) with rows 0..len(s1) and columns 0..len(s2); row and
 // column 0 are the zero boundary. It is used only for tracebacks of
 // accepted top alignments — score-only paths use the linear-memory
-// kernels. tri may be nil.
-func Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) [][]int32 {
-	return new(Scratch).Matrix(p, s1, s2, tri, r)
-}
-
-// Matrix is the scratch-based variant of the package-level Matrix: the
-// returned matrix is arena-owned and valid until the next call on sc.
+// kernels. tri may be nil. The returned matrix is arena-owned and valid
+// until the next call on sc.
 func (sc *Scratch) Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) [][]int32 {
 	len1, len2 := len(s1), len(s2)
 	if cap(sc.rows) < len1+1 {
@@ -97,11 +92,6 @@ func (sc *Scratch) Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int
 // Predecessors are rediscovered from the stored M values: the diagonal
 // first, then horizontal gaps by increasing length, then vertical gaps —
 // a deterministic tie order, so equal-scoring reconstructions are stable.
-func Traceback(p Params, m [][]int32, s1, s2 []byte, tri *triangle.Triangle, r, endX int) (Alignment, error) {
-	return new(Scratch).Traceback(p, m, s1, s2, tri, r, endX)
-}
-
-// Traceback is the scratch-based variant of the package-level Traceback.
 // The returned Alignment's pair slice is freshly allocated (it outlives
 // the call as part of a TopAlignment); only the path accumulator is
 // arena-reused.

@@ -38,7 +38,7 @@ func TestScoreWindowMatchesSplitKernel(t *testing.T) {
 			tri.Set(i, j)
 		}
 		for _, tc := range []*triangle.Triangle{nil, tri} {
-			want := ScoreMasked(p, s[:r], s[r:], tc, r)
+			want := NewScratch().ScoreMasked(p, s[:r], s[r:], tc, r)
 			got := new(Scratch).ScoreWindow(p, s, Rect{Y0: 1, Y1: r, X0: r + 1, X1: m}, tc)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d: row length %d != %d", seed, len(got), len(want))
@@ -149,13 +149,13 @@ func TestTracebackWindowMatchesFull(t *testing.T) {
 	m := len(s)
 	r := m / 2
 	w := Rect{Y0: 1, Y1: r, X0: r + 1, X1: m}
-	full := Matrix(p, s[:r], s[r:], nil, r)
+	full := NewScratch().Matrix(p, s[:r], s[r:], nil, r)
 	win := new(Scratch).MatrixWindow(p, s, w, nil)
 	endX, score, _ := BestValidEnd(full[r][1:], nil)
 	if endX == 0 {
 		t.Skip("no positive alignment in this synthetic input")
 	}
-	wantA, err := Traceback(p, full, s[:r], s[r:], nil, r, endX)
+	wantA, err := NewScratch().Traceback(p, full, s[:r], s[r:], nil, r, endX)
 	if err != nil {
 		t.Fatalf("full traceback: %v", err)
 	}

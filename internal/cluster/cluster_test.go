@@ -254,13 +254,13 @@ func TestClusterOverTCP(t *testing.T) {
 }
 
 func TestMessageRoundTrips(t *testing.T) {
-	setup := msgSetup{Seq: []byte{1, 2, 3}, Matrix: "BLOSUM62", GapOpen: 10, GapExt: 1, MinScore: 1, Lanes: 4, Striped: true}
+	setup := msgSetup{Seq: []byte{1, 2, 3}, Matrix: "BLOSUM62", GapOpen: 10, GapExt: 1, MinScore: 1, Lanes: 4}
 	s2, err := decodeSetup(setup.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(s2.Seq) != string(setup.Seq) || s2.Matrix != setup.Matrix ||
-		s2.GapOpen != 10 || s2.GapExt != 1 || s2.Lanes != 4 || !s2.Striped {
+		s2.GapOpen != 10 || s2.GapExt != 1 || s2.Lanes != 4 {
 		t.Errorf("setup round trip: %+v", s2)
 	}
 

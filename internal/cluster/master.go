@@ -112,9 +112,10 @@ type master struct {
 	owed    map[int]map[int]bool // slave rank -> task Rs dispatched to it, not yet credited back
 	live    map[int]bool
 	done    bool
-	setup   []byte       // encoded msgSetup, re-shipped to late joiners
-	topHist [][]byte     // encoded msgTop per accepted top, for rejoin replay
-	runSpan trace.SpanID // the cluster.run span, parent of all dispatches
+	setup   []byte           // encoded msgSetup, re-shipped to late joiners
+	topHist [][]byte         // encoded msgTop per accepted top, for rejoin replay
+	runSpan trace.SpanID     // the cluster.run span, parent of all dispatches
+	sc      topalign.Scratch // arena for accepts and local realignments
 }
 
 // Registry names used by the master (DESIGN.md section 8). Per-rank
@@ -156,7 +157,6 @@ func (m *master) run(s []byte) (*topalign.Result, error) {
 		GapExt:   cfg.Params.Gap.Ext,
 		MinScore: cfg.MinScore,
 		Lanes:    uint8(cfg.GroupLanes),
-		Striped:  cfg.Striped,
 		Trace:    m.cfg.Spans.TraceID(),
 	}.encode()
 	size := m.comm.Size() // snapshot: later joiners arrive via TagJoin
@@ -465,7 +465,7 @@ func (m *master) tryAccept() error {
 			return nil
 		}
 		t := m.queue.Pop()
-		top, err := topalign.Accept(m.e, t)
+		top, err := topalign.Accept(m.e, t, &m.sc)
 		if err != nil {
 			return err
 		}
@@ -625,7 +625,7 @@ func (m *master) finishLocally() error {
 			break
 		}
 		if t.AlignedWith == m.e.NumTopsFound() {
-			top, err := topalign.Accept(m.e, t)
+			top, err := topalign.Accept(m.e, t, &m.sc)
 			if err != nil {
 				return err
 			}
@@ -640,7 +640,7 @@ func (m *master) finishLocally() error {
 			// next (unlikely) scheduling window could still be provisioned.
 			m.topHist = append(m.topHist, upd.encode())
 		} else {
-			topalign.Realign(m.e, t, m.e.Triangle(), m.e.NumTopsFound())
+			topalign.Realign(m.e, t, m.e.Triangle(), m.e.NumTopsFound(), &m.sc)
 		}
 		m.queue.Push(t)
 	}

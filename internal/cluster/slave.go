@@ -85,12 +85,11 @@ type replicaState struct {
 }
 
 type slave struct {
-	comm    mpi.Comm
-	s       []byte
-	params  align.Params
-	lanes   int
-	striped bool
-	reg     *obs.Registry
+	comm   mpi.Comm
+	s      []byte
+	params align.Params
+	lanes  int
+	reg    *obs.Registry
 
 	// Tracing: when the setup carries a non-zero trace ID, each job
 	// records slave.job/slave.kernel/slave.row_fetch spans with Start
@@ -138,7 +137,6 @@ func newSlave(comm mpi.Comm, setup msgSetup) (*slave, error) {
 		s:          setup.Seq,
 		params:     p,
 		lanes:      lanes,
-		striped:    setup.Striped,
 		trace:      setup.Trace,
 		epoch:      time.Now(),
 		rows:       triangle.NewRowStore(len(setup.Seq)),
@@ -429,7 +427,7 @@ func (sl *slave) work(job msgJob, sc *workScratch) error {
 func (sl *slave) workScalar(r int, tri *triangle.Triangle, res *msgResult, sc *workScratch) error {
 	s1, s2 := sl.s[:r], sl.s[r:]
 	t0 := sl.now()
-	row := sl.score(s1, s2, tri, r, sc)
+	row := sc.a.ScoreMasked(sl.params, s1, s2, tri, r)
 	kns := sl.now() - t0
 	res.AlignNS += kns
 	res.Tier = uint8(multialign.TierScalar)
@@ -465,7 +463,7 @@ func (sl *slave) workGroup(r0, members int, tri *triangle.Triangle, res *msgResu
 			r := r0 + i
 			s1, s2 := sl.s[:r], sl.s[r:]
 			t0 := sl.now()
-			row := sl.score(s1, s2, tri, r, sc)
+			row := sc.a.ScoreMasked(sl.params, s1, s2, tri, r)
 			kns := sl.now() - t0
 			res.AlignNS += kns
 			sc.span("slave.kernel", t0, kns)
@@ -501,13 +499,4 @@ func (sl *slave) workGroup(r0, members int, tri *triangle.Triangle, res *msgResu
 		_, res.Scores[i], _ = align.BestValidEnd(row, orig)
 	}
 	return nil
-}
-
-// score dispatches to the configured scalar kernel, using the worker's
-// scratch. The returned row is scratch-owned.
-func (sl *slave) score(s1, s2 []byte, tri *triangle.Triangle, r int, sc *workScratch) []int32 {
-	if sl.striped {
-		return sc.a.ScoreStriped(sl.params, s1, s2, tri, r, 0)
-	}
-	return sc.a.ScoreMasked(sl.params, s1, s2, tri, r)
 }

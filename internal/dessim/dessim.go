@@ -78,6 +78,7 @@ func Record(s []byte, cfg topalign.Config) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	sc := topalign.NewScratch()
 	q := topalign.InitialQueue(e)
 	m := e.Len()
 	tr := &Trace{M: m, Rounds: []Round{{}}}
@@ -88,14 +89,14 @@ func Record(s []byte, cfg topalign.Config) (*Trace, error) {
 			break
 		}
 		if t.AlignedWith == e.NumTopsFound() {
-			if _, err := topalign.Accept(e, t); err != nil {
+			if _, err := topalign.Accept(e, t, sc); err != nil {
 				return nil, err
 			}
 			cur.TracebackCells = int64(t.R) * int64(m-t.R)
 			tr.Rounds = append(tr.Rounds, Round{})
 			cur = &tr.Rounds[len(tr.Rounds)-1]
 		} else {
-			topalign.Realign(e, t, e.Triangle(), e.NumTopsFound())
+			topalign.Realign(e, t, e.Triangle(), e.NumTopsFound(), sc)
 			cur.Tasks = append(cur.Tasks, Task{R: t.R, Cells: int64(t.R) * int64(m-t.R)})
 		}
 		q.Push(t)

@@ -29,9 +29,7 @@ func TestGroupKernelsZeroAllocsWarm(t *testing.T) {
 		name string
 		f    func() error
 	}{
-		{"ScoreGroup-swar4", func() error { _, err := sc.ScoreGroup(p, s, r0, 4, tri); return err }},
-		{"ScoreGroup-swar8", func() error { _, err := sc.ScoreGroup(p, s, r0, 8, tri); return err }},
-		{"ScoreGroupILP", func() error { sc.ScoreGroupILP(p, s, r0, tri); return nil }},
+		{"ScoreGroupILPStriped-flat", func() error { sc.ScoreGroupILPStriped(p, s, r0, tri, m); return nil }},
 		{"ScoreGroupILPStriped", func() error { sc.ScoreGroupILPStriped(p, s, r0, tri, 64); return nil }},
 		{"ScoreGroupAuto-4", func() error { _, err := sc.ScoreGroupAuto(p, s, r0, 4, tri); return err }},
 		{"ScoreGroupAuto-8", func() error { _, err := sc.ScoreGroupAuto(p, s, r0, 8, tri); return err }},

@@ -1,6 +1,7 @@
 package multialign
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestAuto8MatchesScalarExhaustive(t *testing.T) {
 					}
 					continue
 				}
-				want := align.ScoreMasked(dna, s[:r], s[r:], mask, r)
+				want := align.NewScratch().ScoreMasked(dna, s[:r], s[r:], mask, r)
 				if !equalRows(g.Bottoms[i], want) {
 					t.Fatalf("mask=%v r0=%d lane %d: rows differ\n got %v\nwant %v",
 						mask != nil, r0, i, g.Bottoms[i], want)
@@ -75,7 +76,7 @@ func TestAuto8MatchesScalarDenseMask(t *testing.T) {
 				if r > m-1 {
 					continue
 				}
-				want := align.ScoreMasked(protein, s[:r], s[r:], tri, r)
+				want := align.NewScratch().ScoreMasked(protein, s[:r], s[r:], tri, r)
 				if !equalRows(g.Bottoms[i], want) {
 					t.Fatalf("trial=%d r0=%d lane %d: rows differ", trial, r0, i)
 				}
@@ -92,12 +93,12 @@ func TestAuto8NoSaturation(t *testing.T) {
 	n := 400
 	s := make([]byte, n)
 	r0 := n / 2
-	g, err := ScoreGroupAuto(p, s, r0, 8, nil)
+	g, err := NewScratch().ScoreGroupAuto(p, s, r0, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := align.Score(p, s[:r0], s[r0:])
-	if align.MaxRowScore(want) <= SatLimit {
+	want := align.NewScratch().Score(p, s[:r0], s[r0:])
+	if align.MaxRowScore(want) <= math.MaxInt16 {
 		t.Fatal("workload does not exceed the SWAR cap; test is vacuous")
 	}
 	if !equalRows(g.Bottoms[0], want) {

@@ -5,9 +5,9 @@ import (
 	"repro/internal/triangle"
 )
 
-// ScoreGroupILP computes the same four neighbouring matrices as the
-// 4-lane SWAR kernel, but keeps each lane in its own int32 variable
-// instead of packing lanes into one word.
+// ilp4 is the flat 4-lane kernel body: the four neighbouring matrices
+// of splits r0..r0+3, each lane kept in its own int32 variable instead
+// of packed into one word.
 //
 // It keeps everything that makes the paper's coarse-grained SIMD scheme
 // fast on a superscalar core — the Figure 7 interleaved memory layout,
@@ -15,19 +15,12 @@ import (
 // matrices, one set of loop control — while exposing four independent
 // dependency chains to the CPU's execution ports (the Gotoh recurrence
 // is latency-bound on its running maxima, so independent chains overlap
-// where a single matrix cannot). Unlike the SWAR lanes it has no
-// saturation limit: scores are exact int32.
+// where a single matrix cannot). Scores are exact int32, with no
+// saturation limit.
 //
-// Returns one bottom row per lane, nil for splits beyond len(s)-1.
-// Hot paths should reuse a Scratch: the package-level function allocates
-// fresh buffers on every call.
-func ScoreGroupILP(p align.Params, s []byte, r0 int, tri *triangle.Triangle) *Group {
-	return new(Scratch).ScoreGroupILP(p, s, r0, tri)
-}
-
-// ilp4 is the flat 4-lane kernel body. bots holds the destination bottom
-// rows: bots[k] receives split r0+k's row (nil lanes are skipped). All
-// working memory comes from the receiver.
+// bots holds the destination bottom rows: bots[k] receives split r0+k's
+// row (nil lanes are skipped). All working memory comes from the
+// receiver.
 func (sc *Scratch) ilp4(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) {
 	m := len(s)
 	n := m - r0 // column c is global position j = r0+c
@@ -168,13 +161,3 @@ func maxG(a, b int32) int32 {
 
 // negInf matches the scalar kernel's -infinity headroom.
 const negInf = -(1 << 29)
-
-// ScoreGroupAuto computes bottom rows for `lanes` (4 or 8) neighbouring
-// splits starting at r0 using the fastest exact kernel available: the
-// AVX2 8-lane row kernel on amd64, otherwise the ILP kernel in blocks of
-// four. Identical grouping semantics to the SWAR kernels, int32
-// exactness, no saturation fallback. The SWAR kernels remain available
-// via ScoreGroup for the Table 2 comparison.
-func ScoreGroupAuto(p align.Params, s []byte, r0, lanes int, tri *triangle.Triangle) (*Group, error) {
-	return new(Scratch).ScoreGroupAuto(p, s, r0, lanes, tri)
-}

@@ -10,20 +10,6 @@ import (
 // third of a 32 KiB L1 data cache each, per Section 4.1 of the paper.
 const DefaultGroupStripe = 512
 
-// ScoreGroupILPStriped is ScoreGroupILP with the paper's cache-aware
-// vertical striping: the four interleaved matrices are computed in
-// column stripes sized to first-level cache, with per-row edge state
-// (the previous stripe's last column and horizontal-gap running maxima)
-// carried between stripes. For the large matrices of long sequences this
-// is the production configuration — the paper reports the SIMD kernel
-// gains up to 6.5x from exactly this transformation.
-//
-// width <= 0 selects DefaultGroupStripe. Hot paths should reuse a
-// Scratch: the package-level function allocates fresh buffers per call.
-func ScoreGroupILPStriped(p align.Params, s []byte, r0 int, tri *triangle.Triangle, width int) *Group {
-	return new(Scratch).ScoreGroupILPStriped(p, s, r0, tri, width)
-}
-
 // ilp4Striped is the striped 4-lane kernel body; bots as in ilp4.
 func (sc *Scratch) ilp4Striped(p align.Params, s []byte, r0 int, tri *triangle.Triangle, width int, bots [][]int32) {
 	if width <= 0 {

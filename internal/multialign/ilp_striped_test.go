@@ -21,9 +21,9 @@ func TestStripedILPMatchesUnstriped(t *testing.T) {
 	}
 	for _, mask := range []*triangle.Triangle{nil, tri} {
 		for _, r0 := range []int{1, 2, 5, 60, 100, m - 4, m - 1} {
-			want := ScoreGroupILP(protein, s, r0, mask)
+			want := flatILP(protein, s, r0, mask)
 			for _, w := range []int{1, 3, 7, 16, 50, 99, 160, 0} {
-				got := ScoreGroupILPStriped(protein, s, r0, mask, w)
+				got := NewScratch().ScoreGroupILPStriped(protein, s, r0, mask, w)
 				for k := 0; k < 4; k++ {
 					if (want.Bottoms[k] == nil) != (got.Bottoms[k] == nil) {
 						t.Fatalf("r0=%d w=%d lane %d nil-ness differs", r0, w, k)
@@ -45,13 +45,13 @@ func TestStripedILPMatchesScalarExhaustive(t *testing.T) {
 	s := full.Codes
 	m := len(s)
 	for r0 := 1; r0 <= m-1; r0++ {
-		g := ScoreGroupILPStriped(dna, s, r0, nil, 5)
+		g := NewScratch().ScoreGroupILPStriped(dna, s, r0, nil, 5)
 		for i := 0; i < 4; i++ {
 			r := r0 + i
 			if r > m-1 {
 				continue
 			}
-			want := align.Score(dna, s[:r], s[r:])
+			want := align.NewScratch().Score(dna, s[:r], s[r:])
 			if !equalRows(g.Bottoms[i], want) {
 				t.Fatalf("r0=%d lane %d: rows differ\n got %v\nwant %v",
 					r0, i, g.Bottoms[i], want)

@@ -1,6 +1,7 @@
 package multialign
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/align"
@@ -8,6 +9,12 @@ import (
 	"repro/internal/seq"
 	"repro/internal/triangle"
 )
+
+// flatILP runs the unstriped ILP kernel: a stripe as wide as the
+// sequence holds every group's columns.
+func flatILP(p align.Params, s []byte, r0 int, tri *triangle.Triangle) *Group {
+	return NewScratch().ScoreGroupILPStriped(p, s, r0, tri, len(s))
+}
 
 // The ILP kernel must agree with the scalar kernel lane for lane, masked
 // and unmasked, across all group positions of a small sequence.
@@ -22,7 +29,7 @@ func TestILPMatchesScalarExhaustive(t *testing.T) {
 	tri.Set(10, 20)
 	for _, mask := range []*triangle.Triangle{nil, tri} {
 		for r0 := 1; r0 <= m-1; r0++ {
-			g := ScoreGroupILP(dna, s, r0, mask)
+			g := flatILP(dna, s, r0, mask)
 			for i := 0; i < 4; i++ {
 				r := r0 + i
 				if r > m-1 {
@@ -31,7 +38,7 @@ func TestILPMatchesScalarExhaustive(t *testing.T) {
 					}
 					continue
 				}
-				want := align.ScoreMasked(dna, s[:r], s[r:], mask, r)
+				want := align.NewScratch().ScoreMasked(dna, s[:r], s[r:], mask, r)
 				if !equalRows(g.Bottoms[i], want) {
 					t.Fatalf("mask=%v r0=%d lane %d: rows differ\n got %v\nwant %v",
 						mask != nil, r0, i, g.Bottoms[i], want)
@@ -50,13 +57,13 @@ func TestILPMatchesScalarProtein(t *testing.T) {
 		tri.Set(p[0], p[1])
 	}
 	for _, r0 := range []int{1, 3, 41, 85, 120, m - 4, m - 2, m - 1} {
-		g := ScoreGroupILP(protein, s, r0, tri)
+		g := flatILP(protein, s, r0, tri)
 		for i := 0; i < 4; i++ {
 			r := r0 + i
 			if r > m-1 {
 				continue
 			}
-			want := align.ScoreMasked(protein, s[:r], s[r:], tri, r)
+			want := align.NewScratch().ScoreMasked(protein, s[:r], s[r:], tri, r)
 			if !equalRows(g.Bottoms[i], want) {
 				t.Fatalf("r0=%d lane %d: rows differ", r0, i)
 			}
@@ -69,7 +76,7 @@ func TestScoreGroupAuto(t *testing.T) {
 	s := full.Codes
 	m := len(s)
 	for _, lanes := range []int{4, 8} {
-		g, err := ScoreGroupAuto(protein, s, m-10, lanes, nil)
+		g, err := NewScratch().ScoreGroupAuto(protein, s, m-10, lanes, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,19 +88,19 @@ func TestScoreGroupAuto(t *testing.T) {
 				}
 				continue
 			}
-			want := align.Score(protein, s[:r], s[r:])
+			want := align.NewScratch().Score(protein, s[:r], s[r:])
 			if !equalRows(g.Bottoms[i], want) {
 				t.Fatalf("lanes=%d lane %d differs", lanes, i)
 			}
 		}
 	}
-	if _, err := ScoreGroupAuto(protein, s, 0, 4, nil); err == nil {
+	if _, err := NewScratch().ScoreGroupAuto(protein, s, 0, 4, nil); err == nil {
 		t.Error("r0=0 accepted")
 	}
-	if _, err := ScoreGroupAuto(protein, s, 1, 3, nil); err == nil {
+	if _, err := NewScratch().ScoreGroupAuto(protein, s, 1, 3, nil); err == nil {
 		t.Error("lanes=3 accepted")
 	}
-	if _, err := ScoreGroupAuto(align.Params{}, s, 1, 4, nil); err == nil {
+	if _, err := NewScratch().ScoreGroupAuto(align.Params{}, s, 1, 4, nil); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -106,9 +113,9 @@ func TestILPNoSaturation(t *testing.T) {
 	n := 400
 	s := make([]byte, n)
 	r := n / 2
-	g := ScoreGroupILP(p, s, r, nil)
-	want := align.Score(p, s[:r], s[r:])
-	if align.MaxRowScore(want) <= SatLimit {
+	g := flatILP(p, s, r, nil)
+	want := align.NewScratch().Score(p, s[:r], s[r:])
+	if align.MaxRowScore(want) <= math.MaxInt16 {
 		t.Fatal("workload does not exceed the SWAR cap; test is vacuous")
 	}
 	if !equalRows(g.Bottoms[0], want) {

@@ -42,7 +42,7 @@ func TestAuto16MatchesScalarExhaustive(t *testing.T) {
 					}
 					continue
 				}
-				want := align.ScoreMasked(dna, s[:r], s[r:], mask, r)
+				want := align.NewScratch().ScoreMasked(dna, s[:r], s[r:], mask, r)
 				if !equalRows(g.Bottoms[i], want) {
 					t.Fatalf("mask=%v r0=%d lane %d: rows differ\n got %v\nwant %v",
 						mask != nil, r0, i, g.Bottoms[i], want)
@@ -78,7 +78,7 @@ func TestAuto16MatchesScalarDenseMask(t *testing.T) {
 				if r > m-1 {
 					continue
 				}
-				want := align.ScoreMasked(protein, s[:r], s[r:], tri, r)
+				want := align.NewScratch().ScoreMasked(protein, s[:r], s[r:], tri, r)
 				if !equalRows(g.Bottoms[i], want) {
 					t.Fatalf("trial=%d r0=%d lane %d: rows differ", trial, r0, i)
 				}
@@ -133,7 +133,7 @@ func TestAuto16WideScoresNarrowToInt32(t *testing.T) {
 	p := align.Params{Exch: wide, Gap: scoring.PaperGap}
 	s := make([]byte, 200)
 	r0 := 90
-	g, err := ScoreGroupAuto(p, s, r0, 16, nil)
+	g, err := NewScratch().ScoreGroupAuto(p, s, r0, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestAuto16WideScoresNarrowToInt32(t *testing.T) {
 	}
 	for i := 0; i < 16; i++ {
 		r := r0 + i
-		want := align.Score(p, s[:r], s[r:])
+		want := align.NewScratch().Score(p, s[:r], s[r:])
 		if !equalRows(g.Bottoms[i], want) {
 			t.Fatalf("lane %d wrong on wide-score input", i)
 		}
@@ -222,7 +222,7 @@ func TestInt16SaturationBoundaryProperty(t *testing.T) {
 					t.Fatalf("hi=%d dim=%d lane %d: int16 path differs from int32", hi, tc.dim, i)
 				}
 			}
-			if want := align.Score(p, s[:r0], s[r0:]); !equalRows(g.Bottoms[0], want) {
+			if want := align.NewScratch().Score(p, s[:r0], s[r0:]); !equalRows(g.Bottoms[0], want) {
 				t.Fatalf("hi=%d dim=%d: lane 0 differs from scalar kernel", hi, tc.dim)
 			}
 		}
@@ -260,7 +260,7 @@ func TestInt16UnprovenCleanRun(t *testing.T) {
 		if r > m-1 {
 			continue
 		}
-		want := align.ScoreMasked(p, s[:r], s[r:], tri, r)
+		want := align.NewScratch().ScoreMasked(p, s[:r], s[r:], tri, r)
 		if !equalRows(g.Bottoms[i], want) {
 			t.Fatalf("lane %d differs from scalar masked kernel", i)
 		}

@@ -1,6 +1,6 @@
 // Package multialign implements the coarse-grained SIMD-style alignment
 // scheme of Section 4.1 of the paper: instead of vectorising one matrix,
-// it computes four (or eight) *neighbouring* alignment matrices
+// it computes four, eight or sixteen *neighbouring* alignment matrices
 // concurrently — the matrices of splits r0, r0+1, ..., which differ only
 // by a few rows at the bottom and columns at the left and share the
 // top-right corner of Figure 4's rectangle diagram.
@@ -8,53 +8,24 @@
 // Corresponding entries of the group's matrices align the same residue
 // pair, so one exchange-matrix lookup serves all lanes, and the entries
 // are interleaved in memory exactly as in Figure 7 (lane i of word c is
-// matrix i's entry in column c). The lane arithmetic comes from package
-// swar, this reproduction's substitute for SSE/SSE2 (see DESIGN.md);
-// on amd64 an AVX2 assembly row kernel computes eight exact int32 lanes
-// per vector register.
+// matrix i's entry in column c).
 //
-// SWAR lane scores saturate at SatLimit; those kernels report saturation
-// so the caller can fall back to the scalar int32 kernel for that group.
+// ScoreGroupAuto serves a three-tier ladder (see Tier): exact int32 ILP
+// lanes in pure Go, then on amd64 AVX2 row kernels with eight exact
+// int32 lanes or sixteen saturating int16 lanes per vector register.
+// Every tier returns bit-identical bottom rows. The paper's SWAR lanes
+// live in package swar, which only the Table 2 tool uses.
 package multialign
 
-import (
-	"fmt"
-
-	"repro/internal/align"
-	"repro/internal/swar"
-	"repro/internal/triangle"
-)
-
-const (
-	// Bias shifts exchange values into unsigned lane range. Exchange
-	// matrices must have |score| < Bias (all embedded matrices do).
-	Bias = 256
-	// SatLimit is the lane saturation cap. AddBiasClamp0's precondition
-	// (lane + exchange + bias < 2^15) holds: 16000 + 511 < 32768.
-	SatLimit = 16000
-)
-
-// CheckParams reports whether the scoring model fits the lane arithmetic
-// preconditions of the group kernels.
-func CheckParams(p align.Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if hi, lo := p.Exch.MaxScore(), p.Exch.MinScore(); hi >= Bias || lo <= -Bias {
-		return fmt.Errorf("multialign: exchange scores [%d,%d] exceed lane bias %d", lo, hi, Bias)
-	}
-	if p.Gap.Open+p.Gap.Ext >= SatLimit {
-		return fmt.Errorf("multialign: gap penalties %d+%d too large for lane arithmetic",
-			p.Gap.Open, p.Gap.Ext)
-	}
-	return nil
-}
+// Bias is the lane bias: exchange matrices must have |score| < Bias
+// (all embedded matrices do). The int16 tier's exactness argument relies
+// on it (see satLimit16), and the SWAR kernels of package swar shift
+// exchange values by it into unsigned lane range.
+const Bias = 256
 
 // Group is the result of a group alignment: one bottom row per lane.
 // Bottoms[i] is the bottom row of split r0+i, or nil when that split is
-// out of range (r0+i > len(s)-1). Saturated reports that at least one
-// lane hit SatLimit somewhere, in which case the rows are unreliable and
-// the caller must recompute with the scalar kernel.
+// out of range (r0+i > len(s)-1).
 //
 // Tier and Rerun are observability fields set by ScoreGroupAuto: Tier is
 // the kernel tier that produced the rows (after any saturation
@@ -62,188 +33,8 @@ func CheckParams(p align.Params) error {
 // group was transparently recomputed in exact int32 — the rows are
 // correct either way.
 type Group struct {
-	R0        int
-	Bottoms   [][]int32
-	Saturated bool
-	Tier      Tier
-	Rerun     bool
-}
-
-// ScoreGroup computes the bottom rows of `lanes` neighbouring splits
-// (4 or 8) starting at split r0, against override triangle tri (which
-// may be nil). s is the full sequence; split r aligns s[:r] with s[r:].
-// Hot paths should reuse a Scratch ((*Scratch).ScoreGroup): the
-// package-level function allocates fresh buffers on every call.
-func ScoreGroup(p align.Params, s []byte, r0, lanes int, tri *triangle.Triangle) (*Group, error) {
-	return new(Scratch).ScoreGroup(p, s, r0, lanes, tri)
-}
-
-// keepLanes returns a word keeping lanes 0..k-1 (0xFFFF) and zeroing the
-// rest. k below 0 keeps nothing; k of 4 or more keeps everything.
-func keepLanes(k int) uint64 {
-	if k <= 0 {
-		return 0
-	}
-	if k >= 4 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(16*k)) - 1
-}
-
-// swar4 is the 4-lane kernel body (one uint64 word per column). bots
-// holds the destination bottom rows; reports saturation.
-func (sc *Scratch) swar4(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) bool {
-	m := len(s)
-	n := m - r0 // shared column count; column c is global position j = r0+c
-
-	prev := growU64(&sc.wPrev, n+1)
-	cur := growU64(&sc.wCur, n+1)
-	maxY := growU64(&sc.wMaxY, n+1)
-	for i := range prev {
-		prev[i] = 0 // zero boundary row; biased-zero lane start for maxY
-		maxY[i] = 0
-	}
-	cur[0] = 0 // becomes prev[0] (the boundary column word) after swap
-
-	openW := swar.Splat(uint16(p.Gap.Open))
-	extW := swar.Splat(uint16(p.Gap.Ext))
-	biasW := swar.Splat(Bias)
-	satW := swar.Splat(SatLimit)
-	var satAcc uint64
-
-	yMax := r0 + 3
-	if yMax > m-1 {
-		yMax = m - 1
-	}
-	for y := 1; y <= yMax; y++ {
-		row := p.Exch.Row(s[y-1])
-		// lanes whose matrix has no row y (split r0+i < y) are done;
-		// keep lanes i with r0+i >= y, i.e. i >= y-r0.
-		rowKeep := ^uint64(0)
-		if y > r0 {
-			rowKeep = ^keepLanes(y - r0) // zero lanes 0..y-r0-1
-		}
-		var maxX uint64
-		base := 0
-		masked := false
-		if tri != nil {
-			// global pair (y, r0+c) has triangle index base+c-1
-			base = tri.RowOffset(y) + r0 - y
-			masked = !tri.RowEmpty(base, n)
-		}
-		for c := 1; c <= n; c++ {
-			d := prev[c-1]
-			e := uint16(int32(row[s[r0+c-1]]) + Bias)
-			best := swar.Max(swar.Max(maxX, maxY[c]), d)
-			v := swar.AddBiasClamp0(best, swar.Splat(e), biasW)
-			if masked && tri.GetAt(base+c-1) {
-				v = 0
-			}
-			// left-border correction: lane i's matrix starts at column
-			// c = i+1, so at column c only lanes 0..c-1 exist.
-			keep := rowKeep
-			if c < 4 {
-				keep &= keepLanes(c)
-			}
-			v &= keep
-			satAcc |= swar.GEMask(v, satW)
-			v = swar.Min(v, satW)
-			cur[c] = v
-			u := swar.SubSat(d, openW)
-			maxX = swar.SubSat(swar.Max(u, maxX), extW)
-			maxY[c] = swar.SubSat(swar.Max(u, maxY[c]), extW)
-		}
-		// capture the bottom row of the lane whose matrix ends here
-		if k := y - r0; k >= 0 && k < 4 && k < len(bots) && bots[k] != nil {
-			bottom := bots[k]
-			for c := k + 1; c <= n; c++ {
-				bottom[c-k-1] = int32(swar.Lane(cur[c], k))
-			}
-		}
-		prev, cur = cur, prev
-	}
-	sc.wPrev, sc.wCur = prev, cur
-	return satAcc != 0
-}
-
-// swar8 is the 8-lane kernel body: two words per column, covering
-// splits r0..r0+7 (the SSE2 analogue).
-func (sc *Scratch) swar8(p align.Params, s []byte, r0 int, tri *triangle.Triangle, bots [][]int32) bool {
-	m := len(s)
-	n := m - r0
-
-	prev := growU64(&sc.wPrev, 2*(n+1))
-	cur := growU64(&sc.wCur, 2*(n+1))
-	maxY := growU64(&sc.wMaxY, 2*(n+1))
-	for i := range prev {
-		prev[i] = 0
-		maxY[i] = 0
-	}
-	cur[0], cur[1] = 0, 0
-
-	openW := swar.Splat(uint16(p.Gap.Open))
-	extW := swar.Splat(uint16(p.Gap.Ext))
-	biasW := swar.Splat(Bias)
-	satW := swar.Splat(SatLimit)
-	var satAcc uint64
-
-	yMax := r0 + 7
-	if yMax > m-1 {
-		yMax = m - 1
-	}
-	for y := 1; y <= yMax; y++ {
-		row := p.Exch.Row(s[y-1])
-		// word 0 holds lanes 0..3 (splits r0..r0+3), word 1 lanes 4..7
-		rowKeep0, rowKeep1 := ^uint64(0), ^uint64(0)
-		if y > r0 {
-			done := y - r0 // lanes 0..done-1 are done
-			rowKeep0 = ^keepLanes(done)
-			rowKeep1 = ^keepLanes(done - 4)
-		}
-		var maxX0, maxX1 uint64
-		base := 0
-		masked := false
-		if tri != nil {
-			base = tri.RowOffset(y) + r0 - y
-			masked = !tri.RowEmpty(base, n)
-		}
-		for c := 1; c <= n; c++ {
-			d0, d1 := prev[2*(c-1)], prev[2*(c-1)+1]
-			eW := swar.Splat(uint16(int32(row[s[r0+c-1]]) + Bias))
-			best0 := swar.Max(swar.Max(maxX0, maxY[2*c]), d0)
-			best1 := swar.Max(swar.Max(maxX1, maxY[2*c+1]), d1)
-			v0 := swar.AddBiasClamp0(best0, eW, biasW)
-			v1 := swar.AddBiasClamp0(best1, eW, biasW)
-			if masked && tri.GetAt(base+c-1) {
-				v0, v1 = 0, 0
-			}
-			keep0, keep1 := rowKeep0, rowKeep1
-			if c < 8 {
-				keep0 &= keepLanes(c)
-				keep1 &= keepLanes(c - 4)
-			}
-			v0 &= keep0
-			v1 &= keep1
-			satAcc |= swar.GEMask(v0, satW) | swar.GEMask(v1, satW)
-			v0 = swar.Min(v0, satW)
-			v1 = swar.Min(v1, satW)
-			cur[2*c], cur[2*c+1] = v0, v1
-			u0 := swar.SubSat(d0, openW)
-			u1 := swar.SubSat(d1, openW)
-			maxX0 = swar.SubSat(swar.Max(u0, maxX0), extW)
-			maxX1 = swar.SubSat(swar.Max(u1, maxX1), extW)
-			maxY[2*c] = swar.SubSat(swar.Max(u0, maxY[2*c]), extW)
-			maxY[2*c+1] = swar.SubSat(swar.Max(u1, maxY[2*c+1]), extW)
-		}
-		if k := y - r0; k >= 0 && k < 8 && k < len(bots) && bots[k] != nil {
-			bottom := bots[k]
-			word, lane := k/4, k%4
-			for c := k + 1; c <= n; c++ {
-				bottom[c-k-1] = int32(swar.Lane(cur[2*c+word], lane))
-			}
-		}
-		prev, cur = cur, prev
-	}
-	sc.wPrev, sc.wCur = prev, cur
-	return satAcc != 0
+	R0      int
+	Bottoms [][]int32
+	Tier    Tier
+	Rerun   bool
 }

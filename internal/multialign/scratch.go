@@ -22,8 +22,6 @@ import (
 type Scratch struct {
 	prev, cur, maxY []int32 // interleaved int32 lane rows (ILP and AVX2 kernels)
 
-	wPrev, wCur, wMaxY []uint64 // packed uint16 lane words (SWAR kernels)
-
 	edgeM, edgeMx [][4]int32 // striped ILP kernel's inter-stripe carries
 
 	prof      []int32 // query profile: per-character exchange rows (AVX2 kernel)
@@ -53,14 +51,6 @@ func growI32(buf *[]int32, n int) []int32 {
 func growI16(buf *[]int16, n int) []int16 {
 	if cap(*buf) < n {
 		*buf = make([]int16, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growU64(buf *[]uint64, n int) []uint64 {
-	if cap(*buf) < n {
-		*buf = make([]uint64, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -110,46 +100,28 @@ func (sc *Scratch) newGroup(m, r0, lanes int) *Group {
 	return &sc.g
 }
 
-// ScoreGroup is the scratch-based variant of the package-level
-// ScoreGroup (the SWAR uint16-lane kernels).
-func (sc *Scratch) ScoreGroup(p align.Params, s []byte, r0, lanes int, tri *triangle.Triangle) (*Group, error) {
-	if err := CheckParams(p); err != nil {
-		return nil, err
-	}
-	m := len(s)
-	if r0 < 1 || r0 > m-1 {
-		return nil, fmt.Errorf("multialign: group start split %d out of range for length %d", r0, m)
-	}
-	g := sc.newGroup(m, r0, lanes)
-	switch lanes {
-	case 4:
-		g.Saturated = sc.swar4(p, s, r0, tri, g.Bottoms)
-	case 8:
-		g.Saturated = sc.swar8(p, s, r0, tri, g.Bottoms)
-	default:
-		return nil, fmt.Errorf("multialign: unsupported lane count %d (want 4 or 8)", lanes)
-	}
-	return g, nil
-}
-
-// ScoreGroupILP is the scratch-based variant of the package-level
-// ScoreGroupILP (4 exact int32 lanes, flat rows).
-func (sc *Scratch) ScoreGroupILP(p align.Params, s []byte, r0 int, tri *triangle.Triangle) *Group {
-	g := sc.newGroup(len(s), r0, 4)
-	sc.ilp4(p, s, r0, tri, g.Bottoms)
-	return g
-}
-
-// ScoreGroupILPStriped is the scratch-based variant of the package-level
-// ScoreGroupILPStriped.
+// ScoreGroupILPStriped computes the four neighbouring matrices of
+// splits r0..r0+3 with exact int32 lanes, each in its own variable
+// rather than packed into one word (the scalar tier's kernel; see ilp4),
+// with the paper's cache-aware vertical striping: the four interleaved
+// matrices are computed in column stripes of the given width, with
+// per-row edge state (the previous stripe's last column and
+// horizontal-gap running maxima) carried between stripes. A width at
+// least the column count len(s)-r0 runs the flat kernel unstriped.
+// width <= 0 selects DefaultGroupStripe.
+//
+// This is the hook the Table 2 tool and the stripe-boundary tests use
+// to pick a width; the engine reaches the kernel through ScoreGroupAuto.
 func (sc *Scratch) ScoreGroupILPStriped(p align.Params, s []byte, r0 int, tri *triangle.Triangle, width int) *Group {
 	g := sc.newGroup(len(s), r0, 4)
 	sc.ilp4Striped(p, s, r0, tri, width, g.Bottoms)
 	return g
 }
 
-// ScoreGroupAuto is the scratch-based variant of the package-level
-// ScoreGroupAuto and the production group kernel. It dispatches on the
+// ScoreGroupAuto computes bottom rows for `lanes` (4, 8 or 16)
+// neighbouring splits starting at r0 against override triangle tri
+// (which may be nil); s is the full sequence and split r aligns s[:r]
+// with s[r:]. It is the production group kernel and dispatches on the
 // effective kernel tier (TierFor): full 16-lane groups whose scoring
 // model fits 16-bit arithmetic run the saturating int16 kernel — with an
 // exact int32 re-run if the sticky saturation flag fires — 8-lane blocks

@@ -5,8 +5,7 @@ import (
 	"fmt"
 )
 
-// Stable binary encoding for span batches, alongside the OBS1 snapshot
-// and OBJ1 journal codecs of package obs. Cluster slaves ship their
+// Stable binary encoding for span batches. Cluster slaves ship their
 // per-job spans back to the master in this format.
 //
 // Wire format (little-endian):

@@ -83,6 +83,9 @@ func Find(s []byte, cfg Config) (*topalign.Result, error) {
 
 	tri := triangle.New(m)
 	var tops []topalign.TopAlignment
+	// Two arenas, because each split needs its unmasked and its masked
+	// row at once.
+	var origSc, rowSc align.Scratch
 
 	for len(tops) < cfg.NumTops {
 		bestScore := int32(0)
@@ -91,13 +94,13 @@ func Find(s []byte, cfg Config) (*topalign.Result, error) {
 			s1, s2 := s[:r], s[r:]
 			// double alignment: the unmasked row is recomputed every
 			// round (the old algorithm caches nothing)
-			orig := score(cfg, s1, s2, nil, r)
+			orig := score(cfg, &origSc, s1, s2, nil, r)
 			cfg.Counters.AddAlignment(align.Cells(r, m-r), len(tops) > 0)
 			var row []int32
 			if tri.Count() == 0 {
 				row = orig
 			} else {
-				row = score(cfg, s1, s2, tri, r)
+				row = score(cfg, &rowSc, s1, s2, tri, r)
 				cfg.Counters.AddAlignment(align.Cells(r, m-r), true)
 			}
 			_, sc, rejected := align.BestValidEnd(row, orig)
@@ -109,7 +112,7 @@ func Find(s []byte, cfg Config) (*topalign.Result, error) {
 		if bestScore < cfg.MinScore {
 			break
 		}
-		top, err := traceback(cfg, s, bestR, tri, len(tops)+1)
+		top, err := traceback(cfg, &origSc, &rowSc, s, bestR, tri, len(tops)+1)
 		if err != nil {
 			return nil, err
 		}
@@ -122,31 +125,33 @@ func Find(s []byte, cfg Config) (*topalign.Result, error) {
 	}, nil
 }
 
-// score dispatches to the configured kernel.
-func score(cfg Config, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
+// score dispatches to the configured kernel; the Gotoh kernel's row is
+// owned by sc.
+func score(cfg Config, sc *align.Scratch, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
 	if cfg.Kernel == KernelNaive {
 		return align.ScoreNaive(cfg.Params, s1, s2, tri, r)
 	}
-	return align.ScoreMasked(cfg.Params, s1, s2, tri, r)
+	return sc.ScoreMasked(cfg.Params, s1, s2, tri, r)
 }
 
 // traceback accepts split r's best valid alignment as top number index
-// and marks its pairs in the triangle.
-func traceback(cfg Config, s []byte, r int, tri *triangle.Triangle, index int) (topalign.TopAlignment, error) {
+// and marks its pairs in the triangle. The unmasked row comes from
+// origSc, the matrix from mtxSc.
+func traceback(cfg Config, origSc, mtxSc *align.Scratch, s []byte, r int, tri *triangle.Triangle, index int) (topalign.TopAlignment, error) {
 	s1, s2 := s[:r], s[r:]
-	orig := score(cfg, s1, s2, nil, r)
+	orig := score(cfg, origSc, s1, s2, nil, r)
 	var mtx [][]int32
 	if cfg.Kernel == KernelNaive {
 		mtx = align.NaiveMatrix(cfg.Params, s1, s2, tri, r)
 	} else {
-		mtx = align.Matrix(cfg.Params, s1, s2, tri, r)
+		mtx = mtxSc.Matrix(cfg.Params, s1, s2, tri, r)
 	}
 	cfg.Counters.AddTraceback(align.Cells(len(s1), len(s2)))
 	endX, sc, _ := align.BestValidEnd(mtx[r][1:], orig)
 	if endX == 0 || sc <= 0 {
 		return topalign.TopAlignment{}, fmt.Errorf("oldalgo: split %d has no valid alignment", r)
 	}
-	a, err := align.Traceback(cfg.Params, mtx, s1, s2, tri, r, endX)
+	a, err := mtxSc.Traceback(cfg.Params, mtx, s1, s2, tri, r, endX)
 	if err != nil {
 		return topalign.TopAlignment{}, fmt.Errorf("oldalgo: split %d: %w", r, err)
 	}

@@ -10,8 +10,8 @@ import (
 //
 // Stages are recorded as spans (prefilter.index, prefilter.chain,
 // prefilter.extend) under top.SpanParent so reprotrace attributes
-// prefilter time. Group lanes and the striped kernel do not apply to
-// windowed extension and are ignored.
+// prefilter time. Group lanes do not apply to windowed extension and
+// are ignored.
 func Find(s []byte, cfg Config, top topalign.Config) (*topalign.Result, *Stats, error) {
 	st := &Stats{}
 	if n := int64(len(s)); n > 1 {

@@ -29,10 +29,9 @@ type Params struct {
 	MinScore int `json:"min_score,omitempty"`
 	// MinPairs filters top alignments during delineation.
 	MinPairs int `json:"min_pairs,omitempty"`
-	// Lanes selects SIMD-style group alignment (0, 4, or 8).
+	// Lanes selects SIMD-style group alignment: 4, 8, or 16 neighbouring
+	// matrices per task (0 or 1 = one matrix per task).
 	Lanes int `json:"lanes,omitempty"`
-	// Striped selects the cache-aware striped kernel.
-	Striped bool `json:"striped,omitempty"`
 	// Speculative selects the paper's speculative acceptance rule for
 	// the parallel backends. Off = strict: every backend returns a
 	// result bit-identical to the sequential engine, which is what lets
@@ -135,7 +134,7 @@ func (r *Request) canonicalise(maxSeqLen int) error {
 		return fmt.Errorf("unknown exchange matrix %q (have BLOSUM62, PAM250, dna-unit, paper-dna)", r.Matrix)
 	}
 	if r.GapOpen == 0 && r.GapExt == 0 {
-		g := defaultGap(m)
+		g := repro.DefaultGap(m)
 		r.GapOpen, r.GapExt = int(g.Open), int(g.Ext)
 	}
 	if r.GapOpen < 0 || r.GapExt < 0 {
@@ -218,30 +217,21 @@ func (r *Request) Canonicalise(maxSeqLen int) error {
 	return r.canonicalise(maxSeqLen)
 }
 
-// defaultGap mirrors the per-matrix gap defaults of package repro.
-func defaultGap(m *scoring.Matrix) scoring.Gap {
-	switch m.Name() {
-	case "paper-dna":
-		return scoring.PaperGap
-	case "dna-unit":
-		return scoring.Gap{Open: 8, Ext: 2}
-	default:
-		return scoring.DefaultProteinGap
-	}
-}
-
 // CacheKey derives the content-addressed cache key of a canonicalised
 // request: SHA-256 over the sequence digest plus every parameter that
 // can change the report. The backend is deliberately excluded — in
 // strict mode all three backends are bit-identical, so they share
 // cache entries; speculative runs key separately because their
 // acceptance order among equal-scoring alignments may differ.
+//
+// The tag names the key layout: v2 dropped the striped-kernel flag, so
+// entries persisted under v1 keys simply miss.
 func CacheKey(r *Request) string {
 	seqSum := sha256.Sum256([]byte(r.Sequence))
 	h := sha256.New()
-	fmt.Fprintf(h, "v1|%x|%s|%d|%d|%d|%d|%d|%d|%t|%t",
+	fmt.Fprintf(h, "v2|%x|%s|%d|%d|%d|%d|%d|%d|%t",
 		seqSum, r.Matrix, r.GapOpen, r.GapExt, r.Tops,
-		r.MinScore, r.MinPairs, r.Lanes, r.Striped, r.Speculative)
+		r.MinScore, r.MinPairs, r.Lanes, r.Speculative)
 	if r.Preset != "" {
 		// Prefilter requests key on the resolved knobs (canonicalise
 		// filled them from the preset), so an explicit spelling of a

@@ -375,7 +375,11 @@ func (s *Server) executeJob(j jobstore.Job, req *Request) {
 		asp.End()
 		if err == nil {
 			s.jobsCompleted.Inc()
-			s.jobs.Update(j.ID, func(x *jobstore.Job) { x.State = jobstore.Done }) //nolint:errcheck
+			// Re-key on completion: a job journaled under an older
+			// CacheKey layout must point at the entry this run wrote,
+			// or every poll would miss and requeue it.
+			key := CacheKey(req)
+			s.jobs.Update(j.ID, func(x *jobstore.Job) { x.State, x.Key = jobstore.Done, key }) //nolint:errcheck
 			return
 		}
 		lastErr = err

@@ -327,6 +327,27 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	}
 }
 
+// TestJobReplaysLegacyStripedField: a job journaled before the
+// striped-kernel field was removed still carries "striped":true in its
+// stored request, and a cache key of the old layout. Replay decodes with
+// plain json.Unmarshal, which drops unknown fields, and completion
+// re-keys the job, so it runs to done and serves its report.
+func TestJobReplaysLegacyStripedField(t *testing.T) {
+	dir := t.TempDir()
+	raw := []byte(`{"sequence":"ATGCATGCATGCATGC","matrix":"paper-dna","tops":2,"striped":true}`)
+	st1 := openStore(t, dir)
+	if err := st1.Submit(jobstore.Job{ID: "legacy", Key: "v1-layout-key", Request: raw}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1, Jobs: openStore(t, dir)})
+	got := waitJob(t, ts.URL, "legacy")
+	if got.State != string(jobstore.Done) || got.Cache != "hit" || len(got.Report) == 0 {
+		t.Fatalf("legacy job: state %s, cache %q, %d report bytes (%s)",
+			got.State, got.Cache, len(got.Report), got.Error)
+	}
+}
+
 func TestJobResultLossRequeues(t *testing.T) {
 	store := openStore(t, t.TempDir())
 	// Capacity-1 memory cache, no disk tier: completing a second

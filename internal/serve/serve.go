@@ -537,7 +537,7 @@ func (s *Server) runEngine(req *Request, rec *trace.Recorder, parent trace.SpanI
 		Matrix:  req.Matrix,
 		GapOpen: req.GapOpen, GapExt: req.GapExt,
 		NumTops: req.Tops, MinScore: req.MinScore, MinPairs: req.MinPairs,
-		Lanes: req.Lanes, Striped: req.Striped,
+		Lanes:       req.Lanes,
 		Speculative: req.Speculative,
 		Preset:      req.Preset,
 		SeedK:       req.SeedK, SeedMask: req.SeedMask, SeedMaxOcc: req.SeedMaxOcc,

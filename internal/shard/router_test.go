@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -582,5 +583,30 @@ func TestRouterHealthNoShards(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("healthz on empty ring: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestRemovedStripedFieldRejected: the striped-kernel request field was
+// removed from the API. Both the shard and the router decode bodies
+// with unknown fields disallowed, so a client still sending it gets a
+// 400 that names the field instead of a silently ignored knob.
+func TestRemovedStripedFieldRejected(t *testing.T) {
+	_, sts := startShard(t, serve.Config{Workers: 1})
+	_, rts := newTestRouter(t, Config{Shards: []string{sts.URL}})
+	body := `{"sequence":"ATGCATGCATGC","matrix":"paper-dna","tops":2,"striped":true}`
+	for name, url := range map[string]string{"shard": sts.URL, "router": rts.URL} {
+		resp, err := http.Post(url+"/v1/analyze", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatalf("%s: post: %v", name, err)
+		}
+		var e serve.ErrorResponse
+		status := resp.StatusCode
+		readJSON(t, resp, &e)
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", name, status, e.Error)
+		}
+		if !strings.Contains(e.Error, `"striped"`) {
+			t.Errorf("%s: error %q does not name the striped field", name, e.Error)
+		}
 	}
 }

@@ -1,17 +1,21 @@
-// Package swar implements SIMD-within-a-register (SWAR) arithmetic on
-// four 16-bit lanes packed into a uint64. It is this reproduction's
-// substitute for the SSE/SSE2 multimedia extensions of Section 4.1 of
-// the paper: the multi-matrix alignment kernel in package multialign
-// executes the same lane-parallel dataflow — four (or eight, using two
-// words) interleaved alignment matrices per operation — without hardware
-// intrinsics, which Go does not expose.
+// Package swar holds the SIMD-within-a-register (SWAR) tier of the
+// paper's Table 2: arithmetic on four 16-bit lanes packed into a uint64,
+// and the 4- and 8-lane group kernels built on it (ScoreGroup). It is
+// this reproduction's substitute for the SSE/SSE2 multimedia extensions
+// of Section 4.1: the kernels execute the same lane-parallel dataflow —
+// four (or eight, using two words) interleaved alignment matrices per
+// operation — without hardware intrinsics, which Go does not expose.
+//
+// The package is paper-only: cmd/table2 times it against the
+// production kernels, which live in package multialign. Nothing on the
+// engine path imports it.
 //
 // Unless stated otherwise, lane values must be in [0, 2^15): the lane's
-// top bit is the guard bit the comparison trick needs. The alignment
-// kernel guarantees this by capping scores at its saturation limit and
-// clamping all intermediates at zero (local alignment scores are
-// non-negative, and the Gotoh gap accumulators can be floor-clamped at
-// zero without changing any result — see multialign).
+// top bit is the guard bit the comparison trick needs. The group kernels
+// guarantee this by capping scores at SatLimit and clamping all
+// intermediates at zero (local alignment scores are non-negative, and
+// the Gotoh gap accumulators can be floor-clamped at zero without
+// changing any result).
 package swar
 
 // Lanes is the number of 16-bit lanes per word.

@@ -18,7 +18,7 @@ func TestBottomRowSufficiency(t *testing.T) {
 		m := len(s)
 		var bestBottom, bestAnywhere int32
 		for r := 1; r <= m-1; r++ {
-			mtx := align.Matrix(proteinParams, s[:r], s[r:], nil, r)
+			mtx := align.NewScratch().Matrix(proteinParams, s[:r], s[r:], nil, r)
 			for y := 1; y <= r; y++ {
 				for x := 1; x <= m-r; x++ {
 					if mtx[y][x] > bestAnywhere {
@@ -84,7 +84,7 @@ func TestAcceptedAlignmentsAreOriginal(t *testing.T) {
 		// and the unmasked matrix of its split must contain that score
 		// at the path's ending cell
 		r := top.Split
-		mtx := align.Matrix(proteinParams, s[:r], s[r:], nil, r)
+		mtx := align.NewScratch().Matrix(proteinParams, s[:r], s[r:], nil, r)
 		end := top.Pairs[len(top.Pairs)-1]
 		if mtx[end.I][end.J-r] < top.Score {
 			t.Errorf("top %d: unmasked matrix value %d at ending < accepted score %d (shadow accepted?)",

@@ -11,10 +11,10 @@ import (
 )
 
 // Scratch bundles the kernel arenas one worker needs for the full task
-// cycle: scalar and striped score kernels, group kernels, and the
-// traceback matrix. Schedulers own one Scratch per worker goroutine; the
-// sequential driver uses the engine's own instance. See align.Scratch
-// for the ownership rules.
+// cycle: the scalar score kernel, group kernels, and the traceback
+// matrix. Schedulers own one Scratch per worker goroutine; the
+// sequential drivers own one for the whole run. See align.Scratch for
+// the ownership rules.
 type Scratch struct {
 	A align.Scratch
 	G multialign.Scratch
@@ -28,20 +28,17 @@ func NewScratch() *Scratch { return &Scratch{} }
 // the accepted top alignments — and provides the single-task operations
 // the sequential and parallel drivers are built from.
 //
-// Engine methods are not self-synchronising. The scratch-taking variants
-// (AlignScoreS, AlignGroupScoreS) are pure with respect to the triangle
-// snapshot passed in (the row store is internally locked), so schedulers
-// may run them concurrently as long as each concurrent caller brings its
-// own Scratch. The convenience wrappers without a Scratch argument use
-// the engine-owned arena and must therefore be serialised, as must
-// AcceptTop, which mutates the engine.
+// Engine methods are not self-synchronising. AlignScore and
+// AlignGroupScore are pure with respect to the triangle snapshot passed
+// in (the row store is internally locked), so schedulers may run them
+// concurrently as long as each concurrent caller brings its own
+// Scratch. AcceptTop mutates the engine and must be serialised.
 type Engine struct {
 	s    []byte
 	cfg  Config
 	tri  *triangle.Triangle
 	orig *triangle.RowStore
 	tops []TopAlignment
-	own  Scratch // arena for the serialised convenience methods
 }
 
 // NewEngine validates the configuration and prepares the state for
@@ -90,25 +87,19 @@ func (e *Engine) TriangleSnapshot() *triangle.Triangle { return e.tri.Clone() }
 // serves replicas from it).
 func (e *Engine) OrigRows() *triangle.RowStore { return e.orig }
 
-// AlignScore aligns split r score-only against the given triangle using
-// the engine-owned scratch. Serialised callers only; see AlignScoreS.
-func (e *Engine) AlignScore(r int, tri *triangle.Triangle) int32 {
-	return e.AlignScoreS(r, tri, &e.own)
-}
-
-// AlignScoreS aligns split r score-only against the given triangle and
+// AlignScore aligns split r score-only against the given triangle and
 // returns the split's score: the maximum over valid bottom-row endings
 // after shadow rejection. On a task's first alignment the triangle is
 // ignored (first alignments always see the empty triangle — every task
 // is aligned once before the first acceptance, see Find) and the bottom
 // row is recorded as the split's original row. All working memory comes
 // from sc; the hot path performs no allocation.
-func (e *Engine) AlignScoreS(r int, tri *triangle.Triangle, sc *Scratch) int32 {
+func (e *Engine) AlignScore(r int, tri *triangle.Triangle, sc *Scratch) int32 {
 	s1, s2 := e.s[:r], e.s[r:]
 	orig, have := e.orig.Get(r)
 	if !have {
 		t0 := time.Now()
-		row := e.scoreScalar(sc, s1, s2, nil, r)
+		row := sc.A.Score(e.cfg.Params, s1, s2)
 		e.cfg.Counters.ObserveAlignLatency(time.Since(t0))
 		e.orig.Put(r, row) // Put copies; row is scratch-owned
 		e.cfg.Counters.AddAlignment(align.Cells(len(s1), len(s2)), false)
@@ -117,7 +108,7 @@ func (e *Engine) AlignScoreS(r int, tri *triangle.Triangle, sc *Scratch) int32 {
 		return score
 	}
 	t0 := time.Now()
-	row := e.scoreScalar(sc, s1, s2, tri, r)
+	row := sc.A.ScoreMasked(e.cfg.Params, s1, s2, tri, r)
 	e.cfg.Counters.ObserveAlignLatency(time.Since(t0))
 	e.cfg.Counters.AddAlignment(align.Cells(len(s1), len(s2)), true)
 	e.cfg.Counters.AddTierAlignments(int(multialign.TierScalar), 1, false)
@@ -129,21 +120,7 @@ func (e *Engine) AlignScoreS(r int, tri *triangle.Triangle, sc *Scratch) int32 {
 	return score
 }
 
-// scoreScalar dispatches to the plain or striped scalar kernel.
-func (e *Engine) scoreScalar(sc *Scratch, s1, s2 []byte, tri *triangle.Triangle, r int) []int32 {
-	if e.cfg.Striped {
-		return sc.A.ScoreStriped(e.cfg.Params, s1, s2, tri, r, e.cfg.StripeWidth)
-	}
-	return sc.A.ScoreMasked(e.cfg.Params, s1, s2, tri, r)
-}
-
-// AlignGroupScore is AlignGroupScoreS with the engine-owned scratch and
-// a fresh scores slice. Serialised callers only.
-func (e *Engine) AlignGroupScore(r0 int, tri *triangle.Triangle) []int32 {
-	return e.AlignGroupScoreS(r0, tri, &e.own, nil)
-}
-
-// AlignGroupScoreS aligns the fixed group of GroupLanes neighbouring
+// AlignGroupScore aligns the fixed group of GroupLanes neighbouring
 // splits starting at r0 against the given triangle and returns one score
 // per member (member i is split r0+i; members beyond the last split get
 // score 0). First-time members have their original rows recorded.
@@ -154,7 +131,7 @@ func (e *Engine) AlignGroupScore(r0 int, tri *triangle.Triangle) []int32 {
 // a task's member-score slice); otherwise a fresh slice is returned. The
 // group's wall time is attributed to its live members so the latency
 // histogram stays per-alignment.
-func (e *Engine) AlignGroupScoreS(r0 int, tri *triangle.Triangle, sc *Scratch, scores []int32) []int32 {
+func (e *Engine) AlignGroupScore(r0 int, tri *triangle.Triangle, sc *Scratch, scores []int32) []int32 {
 	lanes := e.cfg.GroupLanes
 	m := len(e.s)
 	if cap(scores) < lanes {
@@ -187,7 +164,7 @@ func (e *Engine) AlignGroupScoreS(r0 int, tri *triangle.Triangle, sc *Scratch, s
 			if r > m-1 {
 				break
 			}
-			scores[i] = e.AlignScoreS(r, tri, sc)
+			scores[i] = e.AlignScore(r, tri, sc)
 		}
 		return scores
 	}
@@ -217,20 +194,12 @@ func (e *Engine) AlignGroupScoreS(r0 int, tri *triangle.Triangle, sc *Scratch, s
 	return scores
 }
 
-// AcceptTop is AcceptTopS with the engine-owned scratch. AcceptTop
-// mutates the engine and is always serialised by callers, so using the
-// engine arena here is safe as long as no concurrent caller uses the
-// engine-owned scratch for scoring (schedulers use per-worker scratches).
-func (e *Engine) AcceptTop(r int) (TopAlignment, error) {
-	return e.AcceptTopS(r, &e.own)
-}
-
-// AcceptTopS accepts split r's current alignment as the next top
+// AcceptTop accepts split r's current alignment as the next top
 // alignment: it recomputes the full matrix against the current triangle,
 // tracebacks from the best valid ending, marks the path's residue pairs
 // in the triangle, and records the result. The returned alignment's
 // pairs are in global coordinates.
-func (e *Engine) AcceptTopS(r int, sc *Scratch) (TopAlignment, error) {
+func (e *Engine) AcceptTop(r int, sc *Scratch) (TopAlignment, error) {
 	sp := e.cfg.Spans.Start(e.cfg.SpanParent, "engine.accept")
 	sp.SetRank(e.cfg.SpanRank)
 	sp.SetArg(int64(r))

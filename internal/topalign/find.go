@@ -28,6 +28,7 @@ func Find(s []byte, cfg Config) (*Result, error) {
 // Run drives an engine to completion sequentially. It is separated from
 // Find so that callers (and tests) can inspect engine state afterwards.
 func Run(e *Engine) error {
+	sc := NewScratch()
 	q := InitialQueue(e)
 	cfg := e.Config()
 	for e.NumTopsFound() < cfg.NumTops && q.Len() > 0 {
@@ -41,12 +42,12 @@ func Run(e *Engine) error {
 			// The task's score is exact under the current triangle and
 			// it is the queue's maximum: accept it (lines 12-14 of
 			// Figure 5).
-			if _, err := Accept(e, t); err != nil {
+			if _, err := Accept(e, t, sc); err != nil {
 				return err
 			}
 		} else {
 			// Stale: realign against the current triangle (lines 16-17).
-			Realign(e, t, e.Triangle(), e.NumTopsFound())
+			Realign(e, t, e.Triangle(), e.NumTopsFound(), sc)
 		}
 		q.Push(t)
 	}
@@ -70,35 +71,23 @@ func InitialQueue(e *Engine) *TaskQueue {
 // corresponds to topNum accepted top alignments, and updates the task's
 // score and AlignedWith stamp. The new score is exact for that triangle
 // and remains a valid upper bound for any later (larger) triangle.
-// Sequential callers use this engine-scratch variant; concurrent
-// schedulers pass an immutable snapshot and a per-worker Scratch to
-// RealignS.
-func Realign(e *Engine, t *Task, tri *triangle.Triangle, topNum int) {
-	RealignS(e, t, tri, topNum, &e.own)
-}
-
-// RealignS is Realign with an explicit Scratch. The task's member-score
-// slice is reused across realignments, so a warm task realigns without
-// allocation.
-func RealignS(e *Engine, t *Task, tri *triangle.Triangle, topNum int, sc *Scratch) {
+// Concurrent schedulers pass an immutable snapshot and a per-worker
+// Scratch. The task's member-score slice is reused across realignments,
+// so a warm task realigns without allocation.
+func Realign(e *Engine, t *Task, tri *triangle.Triangle, topNum int, sc *Scratch) {
 	if e.Config().GroupLanes > 1 {
-		t.MemberScores = e.AlignGroupScoreS(t.R, tri, sc, t.MemberScores)
+		t.MemberScores = e.AlignGroupScore(t.R, tri, sc, t.MemberScores)
 		t.Score = maxScore(t.MemberScores)
 	} else {
-		t.Score = e.AlignScoreS(t.R, tri, sc)
+		t.Score = e.AlignScore(t.R, tri, sc)
 	}
 	t.AlignedWith = topNum
 	e.Config().Trace.Record(obs.EvRealign, -1, int64(t.R), int64(t.Score))
 }
 
-// Accept accepts the task's best member as the next top alignment and
-// refreshes the task's member bookkeeping.
-func Accept(e *Engine, t *Task) (TopAlignment, error) {
-	return AcceptS(e, t, &e.own)
-}
-
-// AcceptS is Accept with an explicit Scratch for the traceback matrix.
-func AcceptS(e *Engine, t *Task, sc *Scratch) (TopAlignment, error) {
+// Accept accepts the task's best member as the next top alignment,
+// using sc for the traceback matrix.
+func Accept(e *Engine, t *Task, sc *Scratch) (TopAlignment, error) {
 	r := t.R
 	if e.Config().GroupLanes > 1 {
 		if len(t.MemberScores) == 0 {
@@ -112,7 +101,7 @@ func AcceptS(e *Engine, t *Task, sc *Scratch) (TopAlignment, error) {
 		}
 		r = t.R + best
 	}
-	return e.AcceptTopS(r, sc)
+	return e.AcceptTop(r, sc)
 }
 
 func maxScore(scores []int32) int32 {

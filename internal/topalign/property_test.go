@@ -122,7 +122,7 @@ func TestEngineAcceptErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AcceptTop(4); err == nil {
+	if _, err := e.AcceptTop(4, NewScratch()); err == nil {
 		t.Error("accepting a never-aligned split did not error")
 	}
 	// align a hopeless split, then try to accept it with no valid ending
@@ -130,10 +130,10 @@ func TestEngineAcceptErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hopeless.AlignScore(1, nil); got != 0 {
+	if got := hopeless.AlignScore(1, nil, NewScratch()); got != 0 {
 		t.Fatalf("split 1 of ACGT scored %d, want 0", got)
 	}
-	if _, err := hopeless.AcceptTop(1); err == nil {
+	if _, err := hopeless.AcceptTop(1, NewScratch()); err == nil {
 		t.Error("accepting a zero-score split did not error")
 	}
 }

@@ -75,11 +75,6 @@ type Config struct {
 	// a fixed group of neighbouring matrices per task using the group
 	// kernels (16 enables the int16x16 AVX2 tier where supported).
 	GroupLanes int
-	// Striped selects the cache-aware vertical-stripe kernel for
-	// scalar score-only alignments.
-	Striped bool
-	// StripeWidth overrides the stripe width (0 = default).
-	StripeWidth int
 	// Counters receives instrumentation; may be nil.
 	Counters *stats.Counters
 	// Trace receives task-queue events (enqueue, realign, accept,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/scoring"
 	"repro/internal/seq"
 	"repro/internal/stats"
+	"repro/internal/triangle"
 )
 
 var (
@@ -106,7 +107,7 @@ func TestFirstTopIsGlobalBest(t *testing.T) {
 		s := q.Codes
 		var best int32
 		for r := 1; r < len(s); r++ {
-			if sc := align.MaxRowScore(align.Score(proteinParams, s[:r], s[r:])); sc > best {
+			if sc := align.MaxRowScore(align.NewScratch().Score(proteinParams, s[:r], s[r:])); sc > best {
 				best = sc
 			}
 		}
@@ -139,18 +140,39 @@ func TestGroupModeEquivalence(t *testing.T) {
 	}
 }
 
-// Striped-kernel mode must also be bit-identical.
+// The striped kernel must stay a drop-in for the engine's row-wise
+// kernel: under the override triangle the engine built while finding
+// its tops (and under no triangle), it must return bit-identical bottom
+// rows for every split.
 func TestStripedModeEquivalence(t *testing.T) {
 	q := seq.SyntheticTitin(180, 4)
-	want, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 8})
+	e, err := NewEngine(q.Codes, Config{Params: proteinParams, NumTops: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Find(q.Codes, Config{Params: proteinParams, NumTops: 8, Striped: true, StripeWidth: 32})
-	if err != nil {
+	if err := Run(e); err != nil {
 		t.Fatal(err)
 	}
-	assertSameTops(t, got.Tops, want.Tops)
+	if e.NumTopsFound() != 8 {
+		t.Fatalf("found %d tops, want 8", e.NumTopsFound())
+	}
+	s := q.Codes
+	var rowWise, striped align.Scratch
+	for _, tri := range []*triangle.Triangle{nil, e.Triangle()} {
+		for r := 1; r < len(s); r++ {
+			want := rowWise.ScoreMasked(proteinParams, s[:r], s[r:], tri, r)
+			got := striped.ScoreStriped(proteinParams, s[:r], s[r:], tri, r, 32)
+			if len(got) != len(want) {
+				t.Fatalf("split %d: striped row has %d cells, row-wise %d", r, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("split %d (masked=%v): cell %d striped %d, row-wise %d",
+						r, tri != nil, j, got[j], want[j])
+				}
+			}
+		}
+	}
 }
 
 // Stale scores are upper bounds: whenever a task is realigned, its new
@@ -162,6 +184,7 @@ func TestStaleScoreIsUpperBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := NewScratch()
 	queue := InitialQueue(e)
 	for e.NumTopsFound() < 10 && queue.Len() > 0 {
 		task := queue.Pop()
@@ -169,12 +192,12 @@ func TestStaleScoreIsUpperBound(t *testing.T) {
 			break
 		}
 		if task.AlignedWith == e.NumTopsFound() {
-			if _, err := Accept(e, task); err != nil {
+			if _, err := Accept(e, task, sc); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			before := task.Score
-			Realign(e, task, e.Triangle(), e.NumTopsFound())
+			Realign(e, task, e.Triangle(), e.NumTopsFound(), sc)
 			if before != Infinity && task.Score > before {
 				t.Fatalf("split %d: realigned score %d exceeds stale bound %d",
 					task.R, task.Score, before)

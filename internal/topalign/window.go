@@ -32,13 +32,13 @@ type Window struct {
 // alignment, i.e. whether its original bottom row has been recorded.
 func (w *Window) Aligned() bool { return w.orig != nil }
 
-// AlignWindowScoreS aligns window w score-only against the given
+// AlignWindowScore aligns window w score-only against the given
 // triangle and returns the window's score: the maximum over valid
 // bottom-row endings after shadow rejection. On the window's first
 // alignment the triangle is ignored (first alignments always see the
-// empty triangle, exactly like AlignScoreS) and the bottom row is
+// empty triangle, exactly like AlignScore) and the bottom row is
 // recorded as the window's original row.
-func (e *Engine) AlignWindowScoreS(w *Window, tri *triangle.Triangle, sc *Scratch) int32 {
+func (e *Engine) AlignWindowScore(w *Window, tri *triangle.Triangle, sc *Scratch) int32 {
 	if w.orig == nil {
 		t0 := time.Now()
 		row := sc.A.ScoreWindow(e.cfg.Params, e.s, w.Rect, nil)
@@ -69,7 +69,7 @@ func (e *Engine) AlignWindowScoreS(w *Window, tri *triangle.Triangle, sc *Scratc
 // already exist. Later realignments are exact for tri and stamp topNum.
 func RealignWindow(e *Engine, t *Task, tri *triangle.Triangle, topNum int, sc *Scratch) {
 	first := !t.Win.Aligned()
-	t.Score = e.AlignWindowScoreS(t.Win, tri, sc)
+	t.Score = e.AlignWindowScore(t.Win, tri, sc)
 	if first {
 		t.AlignedWith = 0
 	} else {
@@ -78,14 +78,14 @@ func RealignWindow(e *Engine, t *Task, tri *triangle.Triangle, topNum int, sc *S
 	e.Config().Trace.Record(obs.EvRealign, -1, int64(t.R), int64(t.Score))
 }
 
-// AcceptWindowS accepts a windowed task's current alignment as the next
+// AcceptWindow accepts a windowed task's current alignment as the next
 // top alignment: it recomputes the full windowed matrix against the
 // current triangle, tracebacks from the best valid ending, marks the
 // path's residue pairs in the triangle, and records the result. Pairs
 // are mapped from window-local to global coordinates; Split is the
 // window's bottom row Y1, the global prefix position the alignment ends
 // at — the same split the full engine would have found it under.
-func AcceptWindowS(e *Engine, t *Task, sc *Scratch) (TopAlignment, error) {
+func AcceptWindow(e *Engine, t *Task, sc *Scratch) (TopAlignment, error) {
 	w := t.Win
 	sp := e.cfg.Spans.Start(e.cfg.SpanParent, "engine.accept")
 	sp.SetRank(e.cfg.SpanRank)
@@ -125,6 +125,7 @@ func AcceptWindowS(e *Engine, t *Task, sc *Scratch) (TopAlignment, error) {
 // their admissible bound; the loop terminates when NumTops alignments
 // are accepted or the best remaining upper bound drops below MinScore.
 func RunWindows(e *Engine, tasks []*Task) error {
+	sc := NewScratch()
 	q := NewTaskQueue()
 	cfg := e.Config()
 	for _, t := range tasks {
@@ -141,11 +142,11 @@ func RunWindows(e *Engine, tasks []*Task) error {
 			return nil
 		}
 		if t.Win.Aligned() && t.AlignedWith == e.NumTopsFound() {
-			if _, err := AcceptWindowS(e, t, &e.own); err != nil {
+			if _, err := AcceptWindow(e, t, sc); err != nil {
 				return err
 			}
 		} else {
-			RealignWindow(e, t, e.Triangle(), e.NumTopsFound(), &e.own)
+			RealignWindow(e, t, e.Triangle(), e.NumTopsFound(), sc)
 		}
 		q.Push(t)
 	}

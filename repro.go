@@ -62,8 +62,6 @@ type Options struct {
 	// CPUs and scoring models that support it; see Stats.KernelTier for
 	// what a run actually used.
 	Lanes int
-	// Striped selects the cache-aware striped kernel.
-	Striped bool
 	// Workers > 1 runs the shared-memory scheduler with that many
 	// goroutines.
 	Workers int
@@ -263,8 +261,9 @@ func resolveMatrix(name string) (*scoring.Matrix, error) {
 	return exch, nil
 }
 
-// defaultGap returns the conventional gap model for a matrix.
-func defaultGap(exch *scoring.Matrix) scoring.Gap {
+// DefaultGap returns the conventional gap model for a matrix: the one an
+// analysis uses when GapOpen and GapExt are both zero.
+func DefaultGap(exch *scoring.Matrix) scoring.Gap {
 	switch exch.Name() {
 	case "paper-dna":
 		return scoring.PaperGap
@@ -276,7 +275,7 @@ func defaultGap(exch *scoring.Matrix) scoring.Gap {
 }
 
 func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error) {
-	gap := defaultGap(exch)
+	gap := DefaultGap(exch)
 	if opt.GapOpen != 0 || opt.GapExt != 0 {
 		gap = scoring.Gap{Open: int32(opt.GapOpen), Ext: int32(opt.GapExt)}
 	}
@@ -306,7 +305,6 @@ func analyze(q *seq.Sequence, exch *scoring.Matrix, opt Options) (*Report, error
 		NumTops:    numTops,
 		MinScore:   int32(opt.MinScore),
 		GroupLanes: opt.Lanes,
-		Striped:    opt.Striped,
 		Counters:   counters,
 		Trace:      opt.Trace,
 		Spans:      opt.Spans,
@@ -459,7 +457,7 @@ func KernelTierFor(matrix string, gapOpen, gapExt, seqLen, lanes int) string {
 	if err != nil {
 		return ""
 	}
-	gap := defaultGap(exch)
+	gap := DefaultGap(exch)
 	if gapOpen != 0 || gapExt != 0 {
 		gap = scoring.Gap{Open: int32(gapOpen), Ext: int32(gapExt)}
 	}
