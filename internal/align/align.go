@@ -23,6 +23,14 @@ import (
 // repeated gap-extension subtraction cannot wrap around.
 const negInf = math.MinInt32 / 4
 
+// Sentinel32 stands for an overridden cell in an int32 kernel's exchange
+// row (Matrix, the 8-lane AVX2 group kernel; see triangle.Mark). A cell's
+// best predecessor lies in [0, MaxInt32] — d >= 0, and MaxScore·m < 2^31
+// is the int32 kernels' own no-overflow bound — so best+Sentinel32 lies in
+// [MinInt32, -1] and the zero clamp yields the overriding zero, while the
+// gap chains, which read only d, advance as in an unmasked cell.
+const Sentinel32 = math.MinInt32
+
 // Params bundles the scoring model for a set of alignments.
 type Params struct {
 	Exch *scoring.Matrix

@@ -71,16 +71,32 @@ func BenchmarkMatrixAndTraceback(b *testing.B) {
 	p := Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
 	n := 1024
 	s1, s2 := benchOperands(n)
-	sc := NewScratch()
-	b.SetBytes(Cells(len(s1), len(s2)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := sc.Matrix(p, s1, s2, nil, n/2)
-		endX, _, _ := BestValidEnd(m[len(s1)][1:], nil)
-		if endX > 0 {
-			if _, err := sc.Traceback(p, m, s1, s2, nil, n/2, endX); err != nil {
-				b.Fatal(err)
+	// the rows of a few accepted alignments: one override per row on
+	// three diagonals, as a realignment after three tops sees them
+	tri := triangle.New(n)
+	for y := 1; y < n/2; y++ {
+		for _, off := range []int{n / 2, n/2 + 100, n/2 + 300} {
+			if j := y + off; j <= n {
+				tri.Set(y, j)
 			}
 		}
+	}
+	for _, tc := range []struct {
+		name string
+		tri  *triangle.Triangle
+	}{{"nil-mask", nil}, {"masked", tri}} {
+		sc := NewScratch()
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(Cells(len(s1), len(s2)))
+			for i := 0; i < b.N; i++ {
+				m := sc.Matrix(p, s1, s2, tc.tri, n/2)
+				endX, _, _ := BestValidEnd(m[len(s1)][1:], nil)
+				if endX > 0 {
+					if _, err := sc.Traceback(p, m, s1, s2, tc.tri, n/2, endX); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -180,6 +181,63 @@ func TestMaskedMatchesNaiveBorderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the traceback matrix, whose overrides are exchange-row
+// sentinels, equals the naive recurrence cell for cell under random
+// sparse and dense triangles, with masked and nil-triangle calls
+// alternating on one Scratch so a stale sentinel row would surface.
+func TestMatrixMatchesNaiveRandomTriangles(t *testing.T) {
+	p := Params{Exch: scoring.BLOSUM62, Gap: scoring.DefaultProteinGap}
+	var sc Scratch
+	f := func(seed uint64, a uint8, dense bool) bool {
+		rng := rand.New(rand.NewPCG(seed, 11))
+		m := 3 + int(a)%60
+		s := randCodes(rng, m)
+		tri := triangle.New(m)
+		pairs := m / 3
+		if dense {
+			pairs = m * m / 4
+		}
+		for k := 0; k < pairs; k++ {
+			i := 1 + rng.IntN(m-1)
+			tri.Set(i, i+1+rng.IntN(m-i))
+		}
+		split := 1 + rng.IntN(m-1)
+		s1, s2 := s[:split], s[split:]
+		for _, mask := range []*triangle.Triangle{tri, nil} {
+			want := NaiveMatrix(p, s1, s2, mask, split)
+			got := sc.Matrix(p, s1, s2, mask, split)
+			for y := range want {
+				if !equalRows(got[y], want[y]) {
+					t.Logf("seed %d m %d split %d masked=%v: row %d differs", seed, m, split, mask != nil, y)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// The int32 sentinel bound: a cell's best predecessor lies in
+// [0, MaxScore·m] and MaxScore·m < 2^31 (the int32 kernels' own
+// no-overflow bound), so best+Sentinel32 neither wraps nor reaches zero.
+// The largest int16 exchange score over the longest sequence int32 can
+// hold is the extreme case.
+func TestSentinel32Bound(t *testing.T) {
+	const maxScore = math.MaxInt16
+	for _, best := range []int64{0, 1, 1 << 30, maxScore * (math.MaxInt32 / maxScore), math.MaxInt32} {
+		sum := best + Sentinel32
+		if sum >= 0 || sum < math.MinInt32 {
+			t.Errorf("best %d: best+Sentinel32 = %d, want in [MinInt32, -1]", best, sum)
+		}
+		if v := int32(best) + Sentinel32; v >= 0 {
+			t.Errorf("best %d: int32 sum %d not negative", best, v)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ type Scratch struct {
 	edgeM, edgeMaxX []int32 // striped kernel's inter-stripe carries
 
 	flat []int32   // full-matrix arena (traceback path)
+	ex   []int32   // one row's exchange scores, overrides as Sentinel32
 	rows [][]int32 // row headers over flat
 
 	rev []Pair // traceback path accumulator

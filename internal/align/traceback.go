@@ -10,7 +10,8 @@ import (
 // override masking) with rows 0..len(s1) and columns 0..len(s2); row and
 // column 0 are the zero boundary. It is used only for tracebacks of
 // accepted top alignments — score-only paths use the linear-memory
-// kernels. tri may be nil. The returned matrix is arena-owned and valid
+// kernels. tri may be nil; its overrides become Sentinel32 entries of
+// each row's exchange scores, so the inner loop has no mask probe. The returned matrix is arena-owned and valid
 // until the next call on sc.
 func (sc *Scratch) Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int) [][]int32 {
 	len1, len2 := len(s1), len(s2)
@@ -41,47 +42,35 @@ func (sc *Scratch) Matrix(p Params, s1, s2 []byte, tri *triangle.Triangle, r int
 	for i := range maxY {
 		maxY[i] = negInf
 	}
+	ex := growI32(&sc.ex, len2)
 	open, ext := p.Gap.Open, p.Gap.Ext
 	for y := 1; y <= len1; y++ {
 		row := p.Exch.Row(s1[y-1])
-		maxX := int32(negInf)
-		base := 0
+		for x, b := range s2 {
+			ex[x] = int32(row[b])
+		}
 		if tri != nil {
-			base = maskBase(tri, r, y)
+			triangle.Mark(tri, maskBase(tri, r, y), ex, Sentinel32)
 		}
-		prev, cur := m[y-1], m[y]
-		for x := 1; x <= len2; x++ {
-			d := prev[x-1]
-			var v int32
-			if tri != nil && tri.GetAt(base+x-1) {
-				v = 0
-			} else {
-				best := d
-				if maxX > best {
-					best = maxX
-				}
-				if my := maxY[x]; my > best {
-					best = my
-				}
-				v = best + int32(row[s2[x-1]])
-				if v < 0 {
-					v = 0
-				}
-			}
-			cur[x] = v
-			g := d - open
-			h := g
-			if maxX > h {
-				h = maxX
-			}
-			maxX = h - ext
-			if my := maxY[x]; my > g {
-				g = my
-			}
-			maxY[x] = g - ext
-		}
+		matrixRow(m[y-1][:len2], m[y][1:], maxY[1:], ex, open, ext)
 	}
 	return m
+}
+
+// matrixRow advances one full-matrix row. Entry i of cur, maxY and ex
+// belongs to column i+1; prev[i] is its diagonal predecessor. A function
+// of its own keeps the horizontal gap chain in a register.
+func matrixRow(prev, cur, maxY, ex []int32, open, ext int32) {
+	n := len(ex)
+	prev, cur, maxY = prev[:n], cur[:n], maxY[:n] // one bounds check per row
+	maxX := int32(negInf)
+	for x, e := range ex {
+		d := prev[x]
+		cur[x] = max(max(d, maxX, maxY[x])+e, 0)
+		g := d - open
+		maxX = max(g, maxX) - ext
+		maxY[x] = max(g, maxY[x]) - ext
+	}
 }
 
 // Traceback reconstructs the alignment ending at bottom-row column endX

@@ -533,10 +533,9 @@ func (m *master) dispatch(slave int, t *topalign.Task, fl *flight) bool {
 		m.handleDown(slave)
 		return false
 	}
-	// Per-rank counter first, total second: a concurrent /metrics scrape
-	// then always sees sum(ranks) >= total, never a phantom deficit.
-	m.bump(fmt.Sprintf(metricDispatchRank, slave))
-	m.bump(metricDispatchTotal)
+	// One registry step for the per-rank counter and the total: a
+	// concurrent /metrics scrape then always sees sum(ranks) == total.
+	m.cfg.Metrics.IncAll(fmt.Sprintf(metricDispatchRank, slave), metricDispatchTotal)
 	if fl == nil {
 		m.jot(obs.EvDispatch, slave, int32(t.R), 0)
 		fl = &flight{t: t, owners: make(map[int]bool)}
@@ -544,8 +543,7 @@ func (m *master) dispatch(slave int, t *topalign.Task, fl *flight) bool {
 	} else {
 		// Speculative re-dispatch of a straggler's task: tally the retry
 		// globally and against the rank that received the extra copy.
-		m.bump(metricRedispatchTotal)
-		m.bump(fmt.Sprintf(metricRedispatchRank, slave))
+		m.cfg.Metrics.IncAll(metricRedispatchTotal, fmt.Sprintf(metricRedispatchRank, slave))
 		m.jot(obs.EvRedispatch, slave, int32(t.R), int64(len(fl.owners)))
 	}
 	if dspan != nil {

@@ -32,8 +32,10 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 //	mx      = max(g, mx) - ext             (horizontal gap chain)
 //	maxY[c] = max(g, maxY[c]) - ext        (vertical gap chains)
 //
-// The caller guarantees the segment contains no overridden or
-// left-border columns, so the loop is branch-free.
+// Overridden columns arrive as sentinel exchange values (MinInt32, see
+// sentinel16 in avx2_amd64.go) that the clamp turns into the overriding
+// zero, so the loop needs no mask and is branch-free. The caller
+// guarantees the span contains no left-border columns.
 TEXT ·rowAVX8(SB), NOSPLIT, $0-56
 	MOVQ prev+0(FP), SI
 	MOVQ cur+8(FP), DI
@@ -103,7 +105,8 @@ done:
 // (the only exception, the negInf16 initials decaying toward -32768,
 // always lose the maxima to real values and cannot surface).
 //
-// The caller guarantees the segment contains no overridden columns.
+// Overridden columns arrive as sentinel exchange values (-32768): the
+// add cannot clip (best >= 0) and the clamp gives the overriding zero.
 // Left-border columns may be included: their gap chains depend only on
 // prev, so the Go driver just re-zeroes the affected lane cells after
 // the row.
@@ -228,8 +231,9 @@ done16:
 // columns with the single-row kernel — the left-border lanes need
 // fixups the pair sweep cannot apply, because row y's cells feed row
 // y+1 in-register). Saturation of either row's cells accumulates into
-// *sat exactly as in rowAVX16. The caller guarantees the span contains
-// no overridden or left-border columns.
+// *sat exactly as in rowAVX16. Overridden columns of either row arrive
+// as exchange sentinels, as in rowAVX16. The caller guarantees the span
+// contains no left-border columns.
 #define COLPAIRSAT(off, eoff) \
 	VMOVDQU      off(BX), Y1      \ // maxY[c]
 	VPMAXSW      Y1, Y4, Y2       \

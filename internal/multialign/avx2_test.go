@@ -51,8 +51,8 @@ func TestAuto8MatchesScalarExhaustive(t *testing.T) {
 	}
 }
 
-// Dense random masks stress the segmented masked-row path (NextSet runs
-// between overridden columns) against the scalar masked kernel.
+// Dense random masks stress the masked-row path (overrides as exchange
+// sentinels) against the scalar masked kernel.
 func TestAuto8MatchesScalarDenseMask(t *testing.T) {
 	full := seq.SyntheticTitin(150, 21)
 	s := full.Codes

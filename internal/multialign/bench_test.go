@@ -2,9 +2,11 @@ package multialign
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/seq"
+	"repro/internal/triangle"
 )
 
 // benchGroupCells is the lane-cell count the group kernels compute for a
@@ -74,5 +76,37 @@ func BenchmarkScoreGroupAuto16(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkScoreGroupAuto16Masked is BenchmarkScoreGroupAuto16 with k
+// overridden columns in every row of the group, at random positions:
+// the masked-row rate, shown apart from the clean raw-kernel rate.
+func BenchmarkScoreGroupAuto16Masked(b *testing.B) {
+	const n = 1200
+	s := seq.SyntheticTitin(n, 1).Codes
+	for _, r0 := range []int{300, 600, 900} {
+		for _, k := range []int{0, 1, 4} {
+			rng := rand.New(rand.NewSource(int64(r0 + k)))
+			tri := triangle.New(n)
+			for y := 1; y <= r0+15; y++ {
+				for i := 0; i < k; i++ {
+					setCol(tri, y, r0, 1+rng.Intn(n-r0))
+				}
+			}
+			sc := NewScratch()
+			b.Run(fmt.Sprintf("r0=%d/over=%d", r0, k), func(b *testing.B) {
+				b.SetBytes(benchGroupCells(n, r0, 16))
+				for i := 0; i < b.N; i++ {
+					g, err := sc.ScoreGroupAuto(protein, s, r0, 16, tri)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if g.Rerun {
+						b.Fatal("benchmark input saturated the int16 kernel")
+					}
+				}
+			})
+		}
 	}
 }

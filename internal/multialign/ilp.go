@@ -26,9 +26,9 @@ func (sc *Scratch) ilp4(p align.Params, s []byte, r0 int, tri *triangle.Triangle
 	n := m - r0 // column c is global position j = r0+c
 
 	// Figure 7 layout: four interleaved lane entries per column.
-	prev := growI32(&sc.prev, 4*(n+1))
-	cur := growI32(&sc.cur, 4*(n+1))
-	maxY := growI32(&sc.maxY, 4*(n+1))
+	prev := grow(&sc.prev, 4*(n+1))
+	cur := grow(&sc.cur, 4*(n+1))
+	maxY := grow(&sc.maxY, 4*(n+1))
 	for i := range prev {
 		prev[i] = 0 // zero boundary row (arena may hold stale values)
 		maxY[i] = negInf

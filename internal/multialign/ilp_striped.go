@@ -32,16 +32,16 @@ func (sc *Scratch) ilp4Striped(p align.Params, s []byte, r0 int, tri *triangle.T
 	// Per-row carries between stripes, one entry per lane:
 	// edgeM[y] is M[y][c0-1], edgeMx[y] the horizontal running maxima
 	// after column c0-1 of row y.
-	edgeM := growEdge(&sc.edgeM, yMax+1)
-	edgeMx := growEdge(&sc.edgeMx, yMax+1)
+	edgeM := grow(&sc.edgeM, yMax+1)
+	edgeMx := grow(&sc.edgeMx, yMax+1)
 	for y := range edgeM {
 		edgeM[y] = [4]int32{}
 		edgeMx[y] = [4]int32{negInf, negInf, negInf, negInf}
 	}
 
-	prev := growI32(&sc.prev, 4*(width+1))
-	cur := growI32(&sc.cur, 4*(width+1))
-	maxY := growI32(&sc.maxY, 4*(width+1))
+	prev := grow(&sc.prev, 4*(width+1))
+	cur := grow(&sc.cur, 4*(width+1))
+	maxY := grow(&sc.maxY, 4*(width+1))
 
 	for c0 := 1; c0 <= n; c0 += width {
 		c1 := c0 + width - 1

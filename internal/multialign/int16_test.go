@@ -52,9 +52,8 @@ func TestAuto16MatchesScalarExhaustive(t *testing.T) {
 	}
 }
 
-// Dense random masks stress the segmented masked-row path of the 16-lane
-// kernel (NextSet runs between overridden columns) against the scalar
-// masked kernel.
+// Dense random masks stress the masked-row path of the 16-lane kernel
+// (overrides as exchange sentinels) against the scalar masked kernel.
 func TestAuto16MatchesScalarDenseMask(t *testing.T) {
 	full := seq.SyntheticTitin(150, 21)
 	s := full.Codes
@@ -301,9 +300,8 @@ func TestRowAVX16FlagBoundary(t *testing.T) {
 	}
 }
 
-// n=0 segments must be a no-op for all three row kernels: no stores, no
-// flag, no crash. The masked drivers can produce empty segments when
-// overridden columns are adjacent.
+// n=0 spans must be a no-op for all three row kernels: no stores, no
+// flag, no crash.
 func TestRowKernelsZeroColumns(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("needs AVX2")

@@ -17,11 +17,24 @@
 // live in package swar, which only the Table 2 tool uses.
 package multialign
 
+import "math"
+
 // Bias is the lane bias: exchange matrices must have |score| < Bias
 // (all embedded matrices do). The int16 tier's exactness argument relies
 // on it (see satLimit16), and the SWAR kernels of package swar shift
 // exchange values by it into unsigned lane range.
 const Bias = 256
+
+// Override sentinels (DESIGN.md section 10). A masked row's exchange
+// row carries the sentinel at every overridden column, so the row
+// kernels serve masked and clean rows alike: a cell's best predecessor
+// max(d, mx, maxY) is never negative (d is a clamped cell value), so
+// best+sentinel is negative — adds(best, -32768) in [-32768, -1] for
+// int16, best+align.Sentinel32 in [MinInt32, -1] for int32 — and the
+// zero clamp yields the overriding zero. The gap chains read only the
+// diagonal d, never the exchange value, so they advance exactly as in an
+// unmasked column.
+const sentinel16 = math.MinInt16
 
 // Group is the result of a group alignment: one bottom row per lane.
 // Bottoms[i] is the bottom row of split r0+i, or nil when that split is

@@ -26,9 +26,11 @@ type Scratch struct {
 
 	prof      []int32 // query profile: per-character exchange rows (AVX2 kernel)
 	profBuilt []bool
+	mask      []int32 // masked copy of one exchange row, overrides as sentinels
 
-	prev16, cur16, maxY16 []int16 // interleaved int16 lane rows (16-lane AVX2 kernel)
-	prof16                []int16 // query profile at int16 width
+	prev16, cur16, maxY16 []int16    // interleaved int16 lane rows (16-lane AVX2 kernel)
+	prof16                []int16    // query profile at int16 width
+	mask16                [2][]int16 // masked exchange rows of a row pair (y, y+1)
 
 	arena []int32   // bottom-row storage
 	heads [][]int32 // lane headers over arena
@@ -38,35 +40,11 @@ type Scratch struct {
 // NewScratch returns an empty Scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// growI32 resizes *buf to n entries, reusing capacity when possible.
+// grow resizes *buf to n entries, reusing capacity when possible.
 // Contents are unspecified; callers reset what they read.
-func growI32(buf *[]int32, n int) []int32 {
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growI16(buf *[]int16, n int) []int16 {
-	if cap(*buf) < n {
-		*buf = make([]int16, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growEdge(buf *[][4]int32, n int) [][4]int32 {
-	if cap(*buf) < n {
-		*buf = make([][4]int32, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growBool(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -82,7 +60,7 @@ func (sc *Scratch) newGroup(m, r0, lanes int) *Group {
 			total += m - r
 		}
 	}
-	arena := growI32(&sc.arena, total)
+	arena := grow(&sc.arena, total)
 	if cap(sc.heads) < lanes {
 		sc.heads = make([][]int32, lanes)
 	}

@@ -267,12 +267,31 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.counterLocked(name)
+}
+
+func (r *Registry) counterLocked(name string) *Counter {
 	c := r.caps[name]
 	if c == nil {
 		c = &Counter{}
 		r.caps[name] = c
 	}
 	return c
+}
+
+// IncAll increments the named counters (get-or-create) as one step: a
+// concurrent Snapshot sees all of the increments or none, so counters
+// bumped together — a total and the per-rank part it sums — agree in
+// every scrape.
+func (r *Registry) IncAll(names ...string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		r.counterLocked(name).Inc()
+	}
 }
 
 // Gauge returns the named gauge, creating it if needed.
@@ -380,9 +399,8 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.caps))
 	for k, v := range r.caps {
-		counters[k] = v
+		s.Counters[k] = v.Load() // under the lock: IncAll steps are atomic
 	}
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
@@ -393,9 +411,6 @@ func (r *Registry) Snapshot() Snapshot {
 		hists[k] = v
 	}
 	r.mu.Unlock()
-	for k, v := range counters {
-		s.Counters[k] = v.Load()
-	}
 	for k, v := range gauges {
 		s.Gauges[k] = v.Load()
 	}

@@ -287,6 +287,45 @@ func TestRegistryConcurrentGetOrCreate(t *testing.T) {
 	}
 }
 
+// Counters bumped together with IncAll must agree in every concurrent
+// snapshot: a total always equals the sum of its per-rank parts.
+func TestIncAllAtomicInSnapshot(t *testing.T) {
+	reg := NewRegistry()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rank := fmt.Sprintf("rank%d", w)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				reg.IncAll(rank, "total")
+			}
+		}(w)
+	}
+	for i := 0; i < 2000; i++ {
+		s := reg.Snapshot()
+		var sum int64
+		for w := 0; w < 4; w++ {
+			sum += s.Counters[fmt.Sprintf("rank%d", w)]
+		}
+		if sum != s.Counters["total"] {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("snapshot %d: rank sum %d != total %d", i, sum, s.Counters["total"])
+		}
+	}
+	close(stop)
+	wg.Wait()
+	var nilReg *Registry
+	nilReg.IncAll("x") // no-op on a nil registry
+}
+
 func TestJournalRecordAndTail(t *testing.T) {
 	j := NewJournal(8)
 	for i := 0; i < 5; i++ {

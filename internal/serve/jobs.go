@@ -108,16 +108,18 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Request: canon,
 		TraceID: traceID,
 	}
-	if err := s.jobs.Submit(j); err != nil {
+	sub, err := s.jobs.Submit(j)
+	if err != nil {
 		// The journal append failed (e.g. disk full): accepting would
 		// break the 202 promise, so refuse loudly.
 		writeError(w, http.StatusServiceUnavailable, "job journal unavailable: "+err.Error())
 		return
 	}
 	s.jobsSubmitted.Inc()
+	// Reply with the job as submitted: once kicked, a small job can be
+	// done before a read-back, and the 202 reports the submission.
 	s.kickJobs()
-	st, _ := s.jobs.Get(j.ID)
-	writeJSON(w, http.StatusAccepted, jobStatusOf(st))
+	writeJSON(w, http.StatusAccepted, jobStatusOf(sub))
 }
 
 // handleJobGet is GET /v1/jobs/{id}: status, and for Done jobs the

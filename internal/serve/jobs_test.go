@@ -303,7 +303,7 @@ func TestJobRecoveryAfterRestart(t *testing.T) {
 	// sees exactly what a SIGKILL would leave.
 	st1 := openStore(t, dir)
 	for i := 0; i < 2; i++ {
-		if err := st1.Submit(jobstore.Job{ID: fmt.Sprintf("job-%d", i), Key: CacheKey(&req), Request: raw}); err != nil {
+		if _, err := st1.Submit(jobstore.Job{ID: fmt.Sprintf("job-%d", i), Key: CacheKey(&req), Request: raw}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,7 +336,7 @@ func TestJobReplaysLegacyStripedField(t *testing.T) {
 	dir := t.TempDir()
 	raw := []byte(`{"sequence":"ATGCATGCATGCATGC","matrix":"paper-dna","tops":2,"striped":true}`)
 	st1 := openStore(t, dir)
-	if err := st1.Submit(jobstore.Job{ID: "legacy", Key: "v1-layout-key", Request: raw}); err != nil {
+	if _, err := st1.Submit(jobstore.Job{ID: "legacy", Key: "v1-layout-key", Request: raw}); err != nil {
 		t.Fatal(err)
 	}
 

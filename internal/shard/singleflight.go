@@ -28,8 +28,9 @@ type flightGroup struct {
 }
 
 type flight struct {
-	done chan struct{}
-	res  *upstreamResult
+	done    chan struct{}
+	res     *upstreamResult
+	waiters int // callers that joined instead of leading; guarded by flightGroup.mu
 }
 
 func newFlightGroup() *flightGroup {
@@ -44,6 +45,7 @@ func newFlightGroup() *flightGroup {
 func (g *flightGroup) do(key string, fn func() *upstreamResult) (res *upstreamResult, shared bool) {
 	g.mu.Lock()
 	if fl, ok := g.m[key]; ok {
+		fl.waiters++
 		g.mu.Unlock()
 		<-fl.done
 		return fl.res, true

@@ -31,17 +31,21 @@ func TestFlightGroupCollapses(t *testing.T) {
 			})
 		}(i)
 	}
-	// Wait for all non-leaders to be parked on the flight, then release.
+	// Wait for all n-1 non-leaders to have joined the flight, then
+	// release the leader.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		g.mu.Lock()
-		fl := g.m["key"]
+		joined := -1
+		if fl := g.m["key"]; fl != nil {
+			joined = fl.waiters
+		}
 		g.mu.Unlock()
-		if fl != nil {
+		if joined == n-1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("flight never registered")
+			t.Fatalf("%d of %d waiters joined the flight", joined, n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}

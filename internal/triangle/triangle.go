@@ -106,8 +106,7 @@ func (t *Triangle) RowEmpty(from, n int) bool {
 }
 
 // NextSet returns the smallest raw index in [from, to) whose pair is
-// marked, or -1 if none. Segmented kernels use it to split a masked row
-// into clean runs that skip the per-column override probe entirely.
+// marked, or -1 if none.
 func (t *Triangle) NextSet(from, to int) int {
 	if from < 0 {
 		from = 0
@@ -133,6 +132,17 @@ func (t *Triangle) NextSet(from, to int) int {
 			return -1
 		}
 		word = t.words[w]
+	}
+}
+
+// Mark writes v into row[i] for every marked raw index base+i with
+// i < len(row), in O(len(row)/64 + marked) time. The kernels use it to
+// fold a matrix row's overrides into that row's exchange scores as
+// sentinels (DESIGN.md section 10), so their inner loops need no mask.
+func Mark[T int16 | int32](t *Triangle, base int, row []T, v T) {
+	to := base + len(row)
+	for idx := t.NextSet(base, to); idx >= 0; idx = t.NextSet(idx+1, to) {
+		row[idx-base] = v
 	}
 }
 

@@ -126,6 +126,38 @@ func TestRowEmptyProperty(t *testing.T) {
 	}
 }
 
+// Property: Mark writes the sentinel exactly at the marked indices of
+// its range and leaves every other entry alone, at both int widths.
+func TestMarkProperty(t *testing.T) {
+	tr := New(40)
+	for _, p := range [][2]int{{1, 2}, {1, 40}, {3, 30}, {3, 31}, {10, 11}, {20, 40}, {39, 40}, {5, 25}} {
+		tr.Set(p[0], p[1])
+	}
+	f := func(a, b uint16) bool {
+		base := int(a) % tr.Pairs()
+		n := int(b) % (tr.Pairs() - base)
+		row16, row32 := make([]int16, n), make([]int32, n)
+		for i := range row16 {
+			row16[i], row32[i] = int16(i), int32(i)
+		}
+		Mark(tr, base, row16, -1)
+		Mark(tr, base, row32, -1)
+		for i := 0; i < n; i++ {
+			want := int32(i)
+			if tr.GetAt(base + i) {
+				want = -1
+			}
+			if int32(row16[i]) != want || row32[i] != want {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestCloneAndEqual(t *testing.T) {
 	tr := New(20)
 	tr.Set(1, 5)
