@@ -374,6 +374,7 @@ func (m *master) handleResult(from int, res msgResult) error {
 	if m.e.Config().GroupLanes > 1 {
 		t.MemberScores = res.Scores
 	}
+	t.MemberEnds = t.MemberEnds[:0] // workers report no ends
 	t.Score = maxI32(res.Scores)
 	t.AlignedWith = int(res.Version)
 	m.queue.Push(t)

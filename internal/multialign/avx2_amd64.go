@@ -3,6 +3,8 @@
 package multialign
 
 import (
+	"math"
+
 	"repro/internal/align"
 	"repro/internal/triangle"
 )
@@ -22,28 +24,44 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func rowAVX8(prev, cur, maxY, ex *int32, n int, open, ext int32, mx *int32)
 
-// rowAVX16 is the 16-lane saturating int16 analogue of rowAVX8; lanes
-// reaching satLimit16 OR their byte mask into *sat. rowAVX16Fast is the
-// same loop without saturation tracking, for groups Int16Proven cleared.
+// rowAVX16Pair advances TWO matrix rows (y, y+1) of the 16-lane int16
+// recurrence in one sweep over columns 1..n, left border included: row
+// y's cells stay in registers and feed row y+1's diagonal, and row y+1
+// is written in place over row y-1 in buffer a. a and maxY point at
+// column 1's block, exY and exY1 at the rows' exchange values. Lanes of
+// any cell reaching satLimit16 OR their byte mask into *sat.
+// rowAVX16PairFast drops saturation tracking, for groups Int16Proven
+// cleared; the Cap variants also store row y into cur (from column 1's
+// block), for pairs whose row y is a captured bottom row.
 //
 //go:noescape
-func rowAVX16(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16, sat *uint32)
+func rowAVX16Pair(a, maxY, exY, exY1 *int16, n int, open, ext int16, sat *uint32)
 
 //go:noescape
-func rowAVX16Fast(prev, cur, maxY, ex *int16, n int, open, ext int16, mx *int16)
-
-// rowAVX16Pair advances TWO matrix rows (y, y+1) in one column sweep:
-// row y's cells stay in registers and feed row y+1's diagonal, and row
-// y+1 is written in place over row y-1 in buffer a, halving the row
-// traffic that bounds the single-row kernel. d and v are 16-lane carry
-// blocks holding the row y-1 and row y values of the column before the
-// span. rowAVX16PairFast drops saturation tracking.
-//
-//go:noescape
-func rowAVX16Pair(a, maxY, exY, exY1 *int16, n int, open, ext int16, mxY, mxY1, d, v *int16, sat *uint32)
+func rowAVX16PairFast(a, maxY, exY, exY1 *int16, n int, open, ext int16)
 
 //go:noescape
-func rowAVX16PairFast(a, maxY, exY, exY1 *int16, n int, open, ext int16, mxY, mxY1, d, v *int16)
+func rowAVX16PairCap(a, cur, maxY, exY, exY1 *int16, n int, open, ext int16, sat *uint32)
+
+//go:noescape
+func rowAVX16PairCapFast(a, cur, maxY, exY, exY1 *int16, n int, open, ext int16)
+
+// borderMask16 is the pair kernels' left border as exchange sentinels:
+// lane k's matrix starts at column k+1, so row c-1 (column c = 1..15)
+// holds sentinel16 in lanes k >= c, where the cell is a zero boundary
+// cell, and MaxInt16 elsewhere. The kernels VPMINSW each exchange value
+// of those columns with it.
+var borderMask16 = func() (t [15][16]int16) {
+	for c := 1; c <= 15; c++ {
+		for k := range t[c-1] {
+			t[c-1][k] = math.MaxInt16
+			if k >= c {
+				t[c-1][k] = sentinel16
+			}
+		}
+	}
+	return t
+}()
 
 // hasAVX2 gates the vector tiers. Detection is pure: runtime tier
 // selection (tier.go) decides what actually runs, and honors the
@@ -197,14 +215,16 @@ func (sc *Scratch) avx8(p align.Params, s []byte, r0 int, tri *triangle.Triangle
 
 // avx16 is the 16-lane int16 kernel body: 16 saturating int16 lanes per
 // ymm register, interleaved per column exactly as avx8 (same 32-byte
-// column stride, twice the matrices). Every row runs in assembly, masked
-// rows included (overrides are exchange sentinels, see sentinel16), and
-// rows below the capture band run two at a time in the pair kernel. It
-// reports whether any lane's cell value reached satLimit16, in which
-// case the bottom rows are unreliable and the caller must re-run the
-// group through the exact int32 kernel. When proven is true
-// (Int16Proven), the no-tracking row kernels run and the return value is
-// always false.
+// column stride, twice the matrices). Every row runs in the pair
+// kernel, two rows per call over the whole row, left border and masked
+// rows included (both are exchange sentinels, see borderMask16 and
+// sentinel16); an odd last row pairs with an all-sentinel row, whose
+// cells are zero. Pairs whose row y is a captured bottom row run the
+// variant that stores row y. It reports whether any lane's cell value
+// reached satLimit16, in which case the bottom rows are unreliable and
+// the caller must re-run the group through the exact int32 kernel. When
+// proven is true (Int16Proven), the no-tracking kernels run and the
+// return value is always false.
 //
 // Unflagged results are bit-identical to the int32 kernels: all values
 // stay below satLimit16, so the saturating adds and subtracts behave
@@ -215,98 +235,63 @@ func (sc *Scratch) avx16(p align.Params, s []byte, r0 int, tri *triangle.Triangl
 	m := len(s)
 	n := m - r0 // column c is global position j = r0+c
 
-	prev := grow(&sc.prev16, 16*(n+1))
-	cur := grow(&sc.cur16, 16*(n+1))
+	a := grow(&sc.prev16, 16*(n+1))  // row y-1, then row y+1 of each pair
+	cur := grow(&sc.cur16, 16*(n+1)) // row y of capture pairs
 	maxY := grow(&sc.maxY16, 16*(n+1))
-	for i := range prev {
-		prev[i] = 0 // zero boundary row (arena may hold stale values)
+	for i := range a {
+		a[i] = 0 // zero boundary row (arena may hold stale values)
 		maxY[i] = negInf16
-	}
-	for i := 0; i < 16; i++ {
-		cur[i] = 0 // becomes the boundary column block after the swap
 	}
 	prof := newProfile(p, s, r0, &sc.prof16, &sc.profBuilt)
 
 	open, ext := int16(p.Gap.Open), int16(p.Gap.Ext)
 	yMax := min(r0+15, m-1)
+	// capture copies the bottom row of the lane whose matrix ends at row
+	// y out of buf, which holds that row (rows past the last live lane,
+	// the padded one included, capture nothing).
+	capture := func(y int, buf []int16) {
+		if k := y - r0; k >= 0 && k < 16 && k < len(bots) && bots[k] != nil {
+			bottom := bots[k]
+			for c := k + 1; c <= n; c++ {
+				bottom[c-k-1] = int32(buf[16*c+k])
+			}
+		}
+	}
 	var sat uint32
-	row16 := func(prev, cur, maxY, ex *int16, n int, mx *int16) {
-		if proven {
-			rowAVX16Fast(prev, cur, maxY, ex, n, open, ext, mx)
-		} else {
-			rowAVX16(prev, cur, maxY, ex, n, open, ext, mx, &sat)
-		}
-	}
-	// Left-border fixup: lane k's matrix starts at column k+1, so at
-	// columns 1..15 lanes k >= c are boundary cells, forced to zero.
-	// The row kernels compute junk there (their gap chains stay exact,
-	// reading only the already-fixed previous row, and the junk cannot
-	// trip the saturation flag: max(d=0, gaps<0) + e < Bias), so each
-	// row's buffer is repaired before anything reads it.
-	pro := min(15, n)
-	fixupBorder := func(buf []int16) {
-		for c := 1; c <= pro; c++ {
-			b := buf[16*c : 16*c+16 : 16*c+16]
-			for k := c; k < 16; k++ {
-				b[k] = 0
-			}
-		}
-	}
-	var mx, mx1, dc, vc [16]int16
-	y := 1
-	for y <= yMax {
+	for y := 1; y <= yMax; y += 2 {
+		// Rows y and y+1 may share a residue, hence a profile row, so
+		// each masks into its own buffer.
 		ex := maskedRow(tri, y, r0, prof.row(s[y-1]), &sc.mask16[0], sentinel16)
-		for i := range mx {
-			mx[i] = negInf16
-			mx1[i] = negInf16
-		}
-		// Pair rows below the capture band (capture rows are r0..r0+15):
-		// row y's prefix and row y+1's prefix run in the single-row
-		// kernel so the left border can be repaired before it feeds
-		// forward, then the pair kernel sweeps both rows over the
-		// remaining columns. Rows y and y+1 may share a residue, hence a
-		// profile row, so each masks into its own buffer.
-		if y+1 <= yMax && y+1 < r0 && n >= 17 {
-			ex1 := maskedRow(tri, y+1, r0, prof.row(s[y]), &sc.mask16[1], sentinel16)
-			const pre = 16
-			row16(&prev[0], &cur[16], &maxY[16], &ex[0], pre, &mx[0])
-			fixupBorder(cur)
-			copy(dc[:], prev[16*pre:16*pre+16]) // row y-1 at column pre, before overwrite
-			copy(vc[:], cur[16*pre:16*pre+16])  // row y at column pre
-			row16(&cur[0], &prev[16], &maxY[16], &ex1[0], pre, &mx1[0])
-			fixupBorder(prev)
-			if proven {
-				rowAVX16PairFast(&prev[16*(pre+1)], &maxY[16*(pre+1)], &ex[pre], &ex1[pre],
-					n-pre, open, ext, &mx[0], &mx1[0], &dc[0], &vc[0])
-			} else {
-				rowAVX16Pair(&prev[16*(pre+1)], &maxY[16*(pre+1)], &ex[pre], &ex1[pre],
-					n-pre, open, ext, &mx[0], &mx1[0], &dc[0], &vc[0], &sat)
+		var ex1 []int16
+		if y+1 <= yMax {
+			ex1 = maskedRow(tri, y+1, r0, prof.row(s[y]), &sc.mask16[1], sentinel16)
+		} else {
+			ex1 = grow(&sc.mask16[1], n)
+			for c := range ex1 {
+				ex1[c] = sentinel16
 			}
-			if sat != 0 {
-				return true
-			}
-			// prev now holds row y+1; cur is scratch again — no swap.
-			y += 2
-			continue
 		}
-		row16(&prev[0], &cur[16], &maxY[16], &ex[0], n, &mx[0])
-		fixupBorder(cur)
+		capY := y >= r0
+		switch {
+		case proven && capY:
+			rowAVX16PairCapFast(&a[16], &cur[16], &maxY[16], &ex[0], &ex1[0], n, open, ext)
+		case proven:
+			rowAVX16PairFast(&a[16], &maxY[16], &ex[0], &ex1[0], n, open, ext)
+		case capY:
+			rowAVX16PairCap(&a[16], &cur[16], &maxY[16], &ex[0], &ex1[0], n, open, ext, &sat)
+		default:
+			rowAVX16Pair(&a[16], &maxY[16], &ex[0], &ex1[0], n, open, ext, &sat)
+		}
 		if sat != 0 {
 			// Saturated rows will be discarded wholesale; stop early so
 			// the int32 re-run pays for the group only once.
 			return true
 		}
-		// capture the bottom row of the lane whose matrix ends here
-		if k := y - r0; k >= 0 && k < 16 && k < len(bots) && bots[k] != nil {
-			bottom := bots[k]
-			for c := k + 1; c <= n; c++ {
-				bottom[c-k-1] = int32(cur[16*c+k])
-			}
+		if capY {
+			capture(y, cur)
 		}
-		prev, cur = cur, prev
-		y++
+		capture(y+1, a)
 	}
-	sc.prev16, sc.cur16 = prev, cur
 	return false
 }
 

@@ -59,15 +59,18 @@ func BenchmarkScoreGroupAuto8(b *testing.B) {
 	}
 }
 
+// BenchmarkScoreGroupAuto16 reports per-shape rates: a group near the
+// top of the sequence (r0=100: few rows, long rows), in the middle and
+// near the end (r0=1100: many short rows, where per-row-pair overhead
+// shows), plus a long-sequence group.
 func BenchmarkScoreGroupAuto16(b *testing.B) {
-	for _, n := range []int{1200, 4096} {
-		s := seq.SyntheticTitin(n, 1).Codes
-		r0 := n / 2
+	for _, tc := range []struct{ n, r0 int }{{1200, 100}, {1200, 600}, {1200, 1100}, {4096, 2048}} {
+		s := seq.SyntheticTitin(tc.n, 1).Codes
 		sc := NewScratch()
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.SetBytes(benchGroupCells(n, r0, 16))
+		b.Run(fmt.Sprintf("n=%d/r0=%d", tc.n, tc.r0), func(b *testing.B) {
+			b.SetBytes(benchGroupCells(tc.n, tc.r0, 16))
 			for i := 0; i < b.N; i++ {
-				g, err := sc.ScoreGroupAuto(protein, s, r0, 16, nil)
+				g, err := sc.ScoreGroupAuto(protein, s, tc.r0, 16, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package multialign
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -267,63 +268,108 @@ func TestInt16UnprovenCleanRun(t *testing.T) {
 }
 
 // The assembly flag must flip exactly at satLimit16: a cell value of
-// satLimit16-1 is clean, satLimit16 sets the lane's sticky bits.
+// satLimit16-1 is clean, satLimit16 sets the lane's sticky bits — in
+// either row of a pair, in a left-border column (1) and past the border
+// (17), in both tracking pair kernels.
 func TestRowAVX16FlagBoundary(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("needs AVX2")
 	}
-	for _, tc := range []struct {
-		e        int16
-		wantFlag bool
-	}{
-		{9, false}, // 31990 + 9 = satLimit16-1
-		{10, true}, // 31990 + 10 = satLimit16
-	} {
-		prev := make([]int16, 16)
-		cur := make([]int16, 16)
-		maxY := make([]int16, 16)
-		mx := make([]int16, 16)
-		for i := range prev {
-			prev[i] = satLimit16 - 10
-			maxY[i] = negInf16
-			mx[i] = negInf16
-		}
-		ex := []int16{tc.e}
-		var sat uint32
-		rowAVX16(&prev[0], &cur[0], &maxY[0], &ex[0], 1, 5, 1, &mx[0], &sat)
-		if got := sat != 0; got != tc.wantFlag {
-			t.Errorf("e=%d: sat=%#x, want flag %v", tc.e, sat, tc.wantFlag)
-		}
-		if want := int16(satLimit16 - 10 + int(tc.e)); cur[0] != want {
-			t.Errorf("e=%d: cur[0]=%d, want %d", tc.e, cur[0], want)
+	const n, open, ext = 17, 5, 1
+	for _, col := range []int{1, n} {
+		for _, second := range []bool{false, true} {
+			for _, tc := range []struct {
+				e        int16
+				wantFlag bool
+			}{
+				{9, false}, // 31990 + 9 = satLimit16-1
+				{10, true}, // 31990 + 10 = satLimit16
+			} {
+				for _, capY := range []bool{false, true} {
+					a := make([]int16, 16*n)
+					cur := make([]int16, 16*n)
+					maxY := make([]int16, 16*n)
+					exY := make([]int16, n)
+					exY1 := make([]int16, n)
+					for i := range maxY {
+						maxY[i] = negInf16
+					}
+					for c := range exY {
+						exY[c], exY1[c] = sentinel16, sentinel16
+					}
+					// The vertical gap chain delivers satLimit16-10 as the
+					// best predecessor of the chosen row's cell; row y+1
+					// sees it one extension later.
+					base := int16(satLimit16 - 10)
+					if second {
+						base += ext
+						exY1[col-1] = tc.e
+					} else {
+						exY[col-1] = tc.e
+					}
+					for k := 0; k < 16; k++ {
+						maxY[16*(col-1)+k] = base
+					}
+					var sat uint32
+					if capY {
+						rowAVX16PairCap(&a[0], &cur[0], &maxY[0], &exY[0], &exY1[0], n, open, ext, &sat)
+					} else {
+						rowAVX16Pair(&a[0], &maxY[0], &exY[0], &exY1[0], n, open, ext, &sat)
+					}
+					what := fmt.Sprintf("col=%d second=%v e=%d cap=%v", col, second, tc.e, capY)
+					if got := sat != 0; got != tc.wantFlag {
+						t.Errorf("%s: sat=%#x, want flag %v", what, sat, tc.wantFlag)
+					}
+					row := cur
+					if second {
+						row = a
+					}
+					if !second && !capY {
+						continue // row y lives only in registers
+					}
+					want := int16(satLimit16 - 10 + int(tc.e))
+					if got := row[16*(col-1)]; got != want {
+						t.Errorf("%s: lane 0 cell %d, want %d", what, got, want)
+					}
+					if col == 1 {
+						for k := 1; k < 16; k++ {
+							if row[k] != 0 {
+								t.Errorf("%s: border lane %d cell %d, want 0", what, k, row[k])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
 
-// n=0 spans must be a no-op for all three row kernels: no stores, no
-// flag, no crash.
+// n=0 spans must be a no-op for every row kernel: no stores, no flag,
+// no crash.
 func TestRowKernelsZeroColumns(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("needs AVX2")
 	}
-	prev16 := make([]int16, 16)
+	a16 := make([]int16, 16)
 	cur16 := make([]int16, 16)
 	maxY16 := make([]int16, 16)
-	mx16 := make([]int16, 16)
 	ex16 := []int16{7}
 	for i := range cur16 {
+		a16[i] = 41
 		cur16[i] = 42
 		maxY16[i] = 43
 	}
 	var sat uint32
-	rowAVX16(&prev16[0], &cur16[0], &maxY16[0], &ex16[0], 0, 5, 1, &mx16[0], &sat)
-	rowAVX16Fast(&prev16[0], &cur16[0], &maxY16[0], &ex16[0], 0, 5, 1, &mx16[0])
+	rowAVX16Pair(&a16[0], &maxY16[0], &ex16[0], &ex16[0], 0, 5, 1, &sat)
+	rowAVX16PairFast(&a16[0], &maxY16[0], &ex16[0], &ex16[0], 0, 5, 1)
+	rowAVX16PairCap(&a16[0], &cur16[0], &maxY16[0], &ex16[0], &ex16[0], 0, 5, 1, &sat)
+	rowAVX16PairCapFast(&a16[0], &cur16[0], &maxY16[0], &ex16[0], &ex16[0], 0, 5, 1)
 	if sat != 0 {
 		t.Errorf("n=0 set the saturation flag: %#x", sat)
 	}
 	for i := range cur16 {
-		if cur16[i] != 42 || maxY16[i] != 43 {
-			t.Fatalf("n=0 wrote to lane buffers at %d: cur=%d maxY=%d", i, cur16[i], maxY16[i])
+		if a16[i] != 41 || cur16[i] != 42 || maxY16[i] != 43 {
+			t.Fatalf("n=0 wrote to lane buffers at %d: a=%d cur=%d maxY=%d", i, a16[i], cur16[i], maxY16[i])
 		}
 	}
 	prev32 := make([]int32, 8)

@@ -30,7 +30,7 @@ type Scratch struct {
 
 	prev16, cur16, maxY16 []int16    // interleaved int16 lane rows (16-lane AVX2 kernel)
 	prof16                []int16    // query profile at int16 width
-	mask16                [2][]int16 // masked exchange rows of a row pair (y, y+1)
+	mask16                [2][]int16 // masked exchange rows of a row pair (y, y+1), or row y and the all-sentinel pad
 
 	arena []int32   // bottom-row storage
 	heads [][]int32 // lane headers over arena

@@ -59,10 +59,11 @@ func setCol(tri *triangle.Triangle, y, r0, c int) {
 }
 
 // Overrides in the columns where the kernels change hands: the 16-lane
-// left-border columns 1-16 (repaired by fixupBorder, and the single-row
-// prefix of a row pair), column 17 where the pair kernel starts, the
-// 8-lane Go prologue columns 1-7 and column 8 where rowAVX8 starts, and
-// the last column.
+// left-border columns 1-15 (where the pair kernel takes the minimum of
+// each exchange value, sentinel or not, with the border mask), columns
+// 16-17 where its unmasked column-pair loop starts, the 8-lane Go
+// prologue columns 1-7 and column 8 where rowAVX8 starts, and the last
+// column.
 func TestSentinelBorderColumns(t *testing.T) {
 	s := seq.SyntheticTitin(90, 4).Codes
 	m := len(s)
@@ -85,7 +86,7 @@ func TestSentinelBorderColumns(t *testing.T) {
 	}
 }
 
-// The pair kernel sweeps rows (y, y+1) for odd y below r0. A masked row
+// The pair kernel sweeps rows (y, y+1) for every odd y. A masked row
 // may pair with a clean one either way round, and when both rows align
 // the same residue they share a query-profile row: each must mask into
 // its own buffer, or one row would run with the other's overrides. The

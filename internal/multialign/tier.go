@@ -24,9 +24,10 @@ const (
 	// TierInt32x8 is the AVX2 row kernel with 8 exact int32 lanes per
 	// vector register (rowAVX8).
 	TierInt32x8
-	// TierInt16x16 is the AVX2 row kernel with 16 saturating int16 lanes
-	// per vector register (rowAVX16): twice the cells per instruction,
-	// guarded by a sticky saturation flag and an int32 re-run.
+	// TierInt16x16 is the AVX2 row-pair kernel with 16 saturating int16
+	// lanes per vector register (rowAVX16Pair): twice the cells per
+	// instruction, guarded by a sticky saturation flag and an int32
+	// re-run.
 	TierInt16x16
 )
 
@@ -173,13 +174,14 @@ func TierFor(p align.Params, m, lanes int) Tier {
 
 // Int16Proven reports whether the int16 kernel provably cannot saturate
 // on this group, so the driver can skip saturation tracking entirely
-// (the proven row kernel drops the compare+accumulate per column). A
+// (the proven pair kernels drop the compare+accumulate per cell). A
 // local-alignment cell at (y, x) is at most MaxScore*min(y, x): every
 // path to it makes at most min(y, x) diagonal steps, each worth at most
 // MaxScore, and gaps only subtract. The kernel computes rows up to
 // yMax = min(r0+lanes-1, m-1) over n = m-r0 columns — dead lanes keep
 // evolving past their last captured row, so the bound must cover the
-// full computed region, not just live cells.
+// full computed region, not just live cells (the all-sentinel row that
+// pads an odd row count is all zeros).
 func Int16Proven(p align.Params, m, r0, lanes int) bool {
 	if !int16ParamsOK(p) {
 		return false

@@ -88,13 +88,15 @@ func (e *Engine) TriangleSnapshot() *triangle.Triangle { return e.tri.Clone() }
 func (e *Engine) OrigRows() *triangle.RowStore { return e.orig }
 
 // AlignScore aligns split r score-only against the given triangle and
-// returns the split's score: the maximum over valid bottom-row endings
-// after shadow rejection. On a task's first alignment the triangle is
-// ignored (first alignments always see the empty triangle — every task
-// is aligned once before the first acceptance, see Find) and the bottom
-// row is recorded as the split's original row. All working memory comes
-// from sc; the hot path performs no allocation.
-func (e *Engine) AlignScore(r int, tri *triangle.Triangle, sc *Scratch) int32 {
+// returns the split's score — the maximum over valid bottom-row endings
+// after shadow rejection — and that ending's 1-based column (0 when
+// there is none), which AcceptTop takes as its traceback width. On a
+// task's first alignment the triangle is ignored (first alignments
+// always see the empty triangle — every task is aligned once before the
+// first acceptance, see Find) and the bottom row is recorded as the
+// split's original row. All working memory comes from sc; the hot path
+// performs no allocation.
+func (e *Engine) AlignScore(r int, tri *triangle.Triangle, sc *Scratch) (score int32, endX int) {
 	s1, s2 := e.s[:r], e.s[r:]
 	orig, have := e.orig.Get(r)
 	if !have {
@@ -104,20 +106,20 @@ func (e *Engine) AlignScore(r int, tri *triangle.Triangle, sc *Scratch) int32 {
 		e.orig.Put(r, row) // Put copies; row is scratch-owned
 		e.cfg.Counters.AddAlignment(align.Cells(len(s1), len(s2)), false)
 		e.cfg.Counters.AddTierAlignments(int(multialign.TierScalar), 1, false)
-		_, score, _ := align.BestValidEnd(row, nil)
-		return score
+		endX, score, _ = align.BestValidEnd(row, nil)
+		return score, endX
 	}
 	t0 := time.Now()
 	row := sc.A.ScoreMasked(e.cfg.Params, s1, s2, tri, r)
 	e.cfg.Counters.ObserveAlignLatency(time.Since(t0))
 	e.cfg.Counters.AddAlignment(align.Cells(len(s1), len(s2)), true)
 	e.cfg.Counters.AddTierAlignments(int(multialign.TierScalar), 1, false)
-	_, score, rejected := align.BestValidEnd(row, orig)
+	endX, score, rejected := align.BestValidEnd(row, orig)
 	e.cfg.Counters.AddShadowEnds(rejected)
 	if rejected > 0 {
 		e.cfg.Trace.Record(obs.EvShadowReject, -1, int64(r), rejected)
 	}
-	return score
+	return score, endX
 }
 
 // AlignGroupScore aligns the fixed group of GroupLanes neighbouring
@@ -127,20 +129,24 @@ func (e *Engine) AlignScore(r int, tri *triangle.Triangle, sc *Scratch) int32 {
 // Groups are computed with the fastest exact group kernel (multialign),
 // falling back to the scalar kernel only on an internal error.
 //
-// The result is written into scores when it has capacity (callers reuse
-// a task's member-score slice); otherwise a fresh slice is returned. The
-// group's wall time is attributed to its live members so the latency
-// histogram stays per-alignment.
-func (e *Engine) AlignGroupScore(r0 int, tri *triangle.Triangle, sc *Scratch, scores []int32) []int32 {
+// Each member's best valid end column goes into ends, as AlignScore
+// returns it (0 for members without one). The results are written into
+// scores and ends when they have capacity (callers reuse a task's
+// slices); otherwise fresh slices are returned. The group's wall time is
+// attributed to its live members so the latency histogram stays
+// per-alignment.
+func (e *Engine) AlignGroupScore(r0 int, tri *triangle.Triangle, sc *Scratch, scores []int32, ends []int) ([]int32, []int) {
 	lanes := e.cfg.GroupLanes
 	m := len(e.s)
 	if cap(scores) < lanes {
 		scores = make([]int32, lanes)
 	}
-	scores = scores[:lanes]
-	for i := range scores {
-		scores[i] = 0
+	if cap(ends) < lanes {
+		ends = make([]int, lanes)
 	}
+	scores, ends = scores[:lanes], ends[:lanes]
+	clear(scores)
+	clear(ends)
 
 	// First alignments must see the empty triangle. Within a group all
 	// members share alignment history (they are always aligned
@@ -164,9 +170,9 @@ func (e *Engine) AlignGroupScore(r0 int, tri *triangle.Triangle, sc *Scratch, sc
 			if r > m-1 {
 				break
 			}
-			scores[i] = e.AlignScore(r, tri, sc)
+			scores[i], ends[i] = e.AlignScore(r, tri, sc)
 		}
-		return scores
+		return scores, ends
 	}
 	e.cfg.Counters.ObserveAlignLatencyPer(time.Since(t0), members)
 	e.cfg.Counters.AddTierAlignments(int(g.Tier), int64(members), g.Rerun)
@@ -179,27 +185,35 @@ func (e *Engine) AlignGroupScore(r0 int, tri *triangle.Triangle, sc *Scratch, sc
 		if first {
 			e.orig.Put(r, row) // Put copies; row is scratch-owned
 			e.cfg.Counters.AddAlignment(align.Cells(r, m-r), false)
-			_, scores[i], _ = align.BestValidEnd(row, nil)
+			ends[i], scores[i], _ = align.BestValidEnd(row, nil)
 			continue
 		}
 		orig, _ := e.orig.Get(r)
 		e.cfg.Counters.AddAlignment(align.Cells(r, m-r), true)
 		var rejected int64
-		_, scores[i], rejected = align.BestValidEnd(row, orig)
+		ends[i], scores[i], rejected = align.BestValidEnd(row, orig)
 		e.cfg.Counters.AddShadowEnds(rejected)
 		if rejected > 0 {
 			e.cfg.Trace.Record(obs.EvShadowReject, -1, int64(r), rejected)
 		}
 	}
-	return scores
+	return scores, ends
 }
 
 // AcceptTop accepts split r's current alignment as the next top
-// alignment: it recomputes the full matrix against the current triangle,
+// alignment: it recomputes the matrix against the current triangle,
 // tracebacks from the best valid ending, marks the path's residue pairs
 // in the triangle, and records the result. The returned alignment's
 // pairs are in global coordinates.
-func (e *Engine) AcceptTop(r int, sc *Scratch) (TopAlignment, error) {
+//
+// endX is the best valid end column that an alignment of split r
+// against the current triangle reported (0 if unknown); tasks are
+// accepted only when their scores are exact for the current triangle,
+// so their recorded ends are. The traceback never reads right of the
+// end, so the matrix stops at column endX. If the end found on that
+// truncated bottom row is not endX, the hint was wrong and the
+// full-width matrix is computed, as it is without a hint.
+func (e *Engine) AcceptTop(r, endX int, sc *Scratch) (TopAlignment, error) {
 	sp := e.cfg.Spans.Start(e.cfg.SpanParent, "engine.accept")
 	sp.SetRank(e.cfg.SpanRank)
 	sp.SetArg(int64(r))
@@ -209,9 +223,19 @@ func (e *Engine) AcceptTop(r int, sc *Scratch) (TopAlignment, error) {
 	if !have {
 		return TopAlignment{}, fmt.Errorf("topalign: accepting split %d that was never aligned", r)
 	}
-	mtx := sc.A.Matrix(e.cfg.Params, s1, s2, e.tri, r)
-	e.cfg.Counters.AddTraceback(align.Cells(len(s1), len(s2)))
+	hint := endX
+	if hint < 1 || hint > len(s2) {
+		hint = len(s2)
+	}
+	mtx := sc.A.Matrix(e.cfg.Params, s1, s2[:hint], e.tri, r)
+	cells := align.Cells(len(s1), hint)
 	endX, score, _ := align.BestValidEnd(mtx[r][1:], orig)
+	if hint < len(s2) && endX != hint {
+		mtx = sc.A.Matrix(e.cfg.Params, s1, s2, e.tri, r)
+		cells += align.Cells(len(s1), len(s2))
+		endX, score, _ = align.BestValidEnd(mtx[r][1:], orig)
+	}
+	e.cfg.Counters.AddTraceback(cells)
 	if endX == 0 || score <= 0 {
 		return TopAlignment{}, fmt.Errorf("topalign: split %d has no valid alignment to accept", r)
 	}

@@ -76,24 +76,26 @@ func InitialQueue(e *Engine) *TaskQueue {
 // so a warm task realigns without allocation.
 func Realign(e *Engine, t *Task, tri *triangle.Triangle, topNum int, sc *Scratch) {
 	if e.Config().GroupLanes > 1 {
-		t.MemberScores = e.AlignGroupScore(t.R, tri, sc, t.MemberScores)
+		t.MemberScores, t.MemberEnds = e.AlignGroupScore(t.R, tri, sc, t.MemberScores, t.MemberEnds)
 		t.Score = maxScore(t.MemberScores)
 	} else {
-		t.Score = e.AlignScore(t.R, tri, sc)
+		var end int
+		t.Score, end = e.AlignScore(t.R, tri, sc)
+		t.MemberEnds = append(t.MemberEnds[:0], end)
 	}
 	t.AlignedWith = topNum
 	e.Config().Trace.Record(obs.EvRealign, -1, int64(t.R), int64(t.Score))
 }
 
 // Accept accepts the task's best member as the next top alignment,
-// using sc for the traceback matrix.
+// using sc for the traceback matrix, narrowed to the member's recorded
+// end column when the task has one.
 func Accept(e *Engine, t *Task, sc *Scratch) (TopAlignment, error) {
-	r := t.R
+	r, best := t.R, 0
 	if e.Config().GroupLanes > 1 {
 		if len(t.MemberScores) == 0 {
 			return TopAlignment{}, fmt.Errorf("topalign: accepting group %d with no member scores", t.R)
 		}
-		best := 0
 		for i, s := range t.MemberScores {
 			if s > t.MemberScores[best] {
 				best = i
@@ -101,7 +103,11 @@ func Accept(e *Engine, t *Task, sc *Scratch) (TopAlignment, error) {
 		}
 		r = t.R + best
 	}
-	return e.AcceptTop(r, sc)
+	endX := 0
+	if best < len(t.MemberEnds) {
+		endX = t.MemberEnds[best]
+	}
+	return e.AcceptTop(r, endX, sc)
 }
 
 func maxScore(scores []int32) int32 {

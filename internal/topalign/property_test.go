@@ -1,10 +1,12 @@
 package topalign
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/seq"
+	"repro/internal/stats"
 )
 
 // Property: on random repeat-bearing sequences the core invariants hold:
@@ -122,7 +124,7 @@ func TestEngineAcceptErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AcceptTop(4, NewScratch()); err == nil {
+	if _, err := e.AcceptTop(4, 0, NewScratch()); err == nil {
 		t.Error("accepting a never-aligned split did not error")
 	}
 	// align a hopeless split, then try to accept it with no valid ending
@@ -130,10 +132,10 @@ func TestEngineAcceptErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hopeless.AlignScore(1, nil, NewScratch()); got != 0 {
+	if got, _ := hopeless.AlignScore(1, nil, NewScratch()); got != 0 {
 		t.Fatalf("split 1 of ACGT scored %d, want 0", got)
 	}
-	if _, err := hopeless.AcceptTop(1, NewScratch()); err == nil {
+	if _, err := hopeless.AcceptTop(1, 0, NewScratch()); err == nil {
 		t.Error("accepting a zero-score split did not error")
 	}
 }
@@ -159,5 +161,64 @@ func TestEngineAccessors(t *testing.T) {
 	}
 	if e.OrigRows().Len() != 0 {
 		t.Error("fresh engine has stored rows")
+	}
+}
+
+// AcceptTop's end hint narrows the traceback matrix without changing
+// the result: the recorded end, a stale end and no end must accept the
+// same alignment, and the traceback counts only the cells it computed.
+// The second acceptance runs against a non-empty triangle, with ends
+// recorded by masked realignments.
+func TestAcceptTopEndHint(t *testing.T) {
+	s := seq.SyntheticTitin(150, 7).Codes
+	m := len(s)
+	type accepted struct {
+		top   TopAlignment
+		cells int64
+	}
+	run := func(hint func(r, end int) int) []accepted {
+		cnt := &stats.Counters{}
+		e, err := NewEngine(s, Config{Params: proteinParams, NumTops: 2, Counters: cnt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := NewScratch()
+		var out []accepted
+		for k := 0; k < 2; k++ {
+			bestR, bestEnd, best := 0, 0, int32(0)
+			for r := 1; r <= m-1; r++ {
+				if score, end := e.AlignScore(r, e.Triangle(), sc); score > best {
+					bestR, bestEnd, best = r, end, score
+				}
+			}
+			before := cnt.Snapshot().Cells
+			top, err := e.AcceptTop(bestR, hint(bestR, bestEnd), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, accepted{top, cnt.Snapshot().Cells - before})
+		}
+		return out
+	}
+	full := run(func(r, end int) int { return 0 })
+	exact := run(func(r, end int) int { return end })
+	stale := run(func(r, end int) int { return end - 1 })
+	for k := range full {
+		if !reflect.DeepEqual(exact[k].top, full[k].top) || !reflect.DeepEqual(stale[k].top, full[k].top) {
+			t.Fatalf("acceptance %d differs across end hints:\nfull  %+v\nexact %+v\nstale %+v",
+				k, full[k].top, exact[k].top, stale[k].top)
+		}
+		r := int64(full[k].top.Split)
+		last := full[k].top.Pairs[len(full[k].top.Pairs)-1]
+		end := int64(last.J) - r // the alignment ends at the hinted column
+		if want := r * (int64(m) - r); full[k].cells != want {
+			t.Errorf("acceptance %d without hint: %d traceback cells, want %d", k, full[k].cells, want)
+		}
+		if want := r * end; exact[k].cells != want {
+			t.Errorf("acceptance %d with its end: %d traceback cells, want %d", k, exact[k].cells, want)
+		}
+		if want := r*(end-1) + r*(int64(m)-r); stale[k].cells != want {
+			t.Errorf("acceptance %d with a stale end: %d traceback cells, want %d", k, stale[k].cells, want)
+		}
 	}
 }

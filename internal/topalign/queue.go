@@ -20,6 +20,11 @@ type Task struct {
 	// MemberScores holds per-member scores in group mode (Score is
 	// their maximum); nil in scalar mode.
 	MemberScores []int32
+	// MemberEnds holds the best valid end column of each member (the
+	// split itself in scalar mode), recorded with the scores by Realign
+	// and used by Accept to narrow the traceback matrix. Empty when the
+	// scores came without ends, as from cluster workers.
+	MemberEnds []int
 	// Win, when non-nil, makes this a windowed candidate task from the
 	// seed-filter-extend prefilter: alignments are confined to Win.Rect
 	// and R is the window's bottom row (the alignment's split position).
